@@ -376,13 +376,16 @@ fn run(args: &[String]) -> Result<(), Error> {
             summary.sched.as_ref(),
         )?;
     }
-    jumanji_bench::cell_cache::persist_global_disk();
     Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    match run(&args) {
+    let result = run(&args);
+    // Persist on every exit path: cells computed before a failure stay
+    // warm for the next process.
+    jumanji_bench::cell_cache::persist_global_disk();
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("suite: {e}");

@@ -547,12 +547,17 @@ pub fn attach_global_disk(dir: &str) {
     }
 }
 
-/// Persists the simulator's model memos (ratio hulls, deadlines) to the
-/// global cache's disk store, if one is attached. Figure binaries call
-/// this once after rendering, so the *next* process constructs warm.
+/// Persists the global cache's disk store, if one is attached: writes
+/// the simulator's model memos (ratio hulls, deadlines) and seals the
+/// pending segment, so the *next* process constructs warm and finds
+/// this run's cells. [`run_spec_to`](crate::run_spec_to) and the
+/// `suite` binary call this on the way out, on success and failure
+/// alike — the global cache is never dropped, so nothing else seals its
+/// store.
 pub fn persist_global_disk() {
     if let Some(disk) = CellCache::global().disk() {
         disk.persist_model();
+        disk.seal();
         // Cells written during this run may have pushed a capped store
         // over its limit; evict before the next process starts.
         disk.enforce_cap();
@@ -686,6 +691,8 @@ mod tests {
         let (cold_result, src) = cold.run_sourced(&handle, DesignKind::Static, &NoopSink);
         assert_eq!(src, RunSource::Computed);
         assert_eq!(cold.stats().disk.expect("disk attached").writes, 1);
+        // The cold process exits, sealing its segment.
+        drop(cold);
 
         // Warm process (fresh cache, same store): the run is served from
         // disk, byte-identical, without constructing any experiment.
@@ -725,6 +732,7 @@ mod tests {
         let cold = CellCache::new();
         cold.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
         let a = cold.allocate(DesignKind::Jumanji, &input);
+        drop(cold);
         let warm = CellCache::new();
         warm.attach_disk(Arc::new(DiskCache::open(&dir).expect("open store")));
         let b = warm.allocate(DesignKind::Jumanji, &input);

@@ -472,7 +472,9 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<(), Error> {
 
 /// Renders the spec's figure to any writer, resolving the telemetry sink
 /// (explicit sink, then `trace` path as a [`JsonlSink`], then the no-op
-/// sink) and flushing both on the way out.
+/// sink) and flushing both on the way out. The attached disk store is
+/// persisted whether or not the figure succeeds, so the next process
+/// finds this run's cells and model memos.
 ///
 /// # Errors
 ///
@@ -491,6 +493,13 @@ pub fn run_spec_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Err
             crate::cell_cache::attach_global_disk(&dir.to_string_lossy());
         }
     }
+    let result = emit_to(spec, out);
+    crate::cell_cache::persist_global_disk();
+    result
+}
+
+/// [`run_spec_to`] without the cache set-up and persistence.
+fn emit_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Error> {
     let jsonl;
     let tel: &dyn Telemetry = match (&spec.telemetry, &spec.trace) {
         (Some(sink), _) => sink.as_ref(),
@@ -506,9 +515,9 @@ pub fn run_spec_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Err
 }
 
 /// The whole `main` of a figure binary: parse argv/env (including the
-/// process-level `--no-cache` / `--cache-dir DIR` cache controls), run,
-/// persist the model memos to the disk store on success, and map errors
-/// to exit codes (usage → 2, runtime → 1).
+/// process-level `--no-cache` / `--cache-dir DIR` cache controls), run
+/// (which persists the disk store either way), and map errors to exit
+/// codes (usage → 2, runtime → 1).
 pub fn figure_main(kind: FigureKind) -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     crate::cell_cache::apply_cache_flags(&args);
@@ -520,10 +529,7 @@ pub fn figure_main(kind: FigureKind) -> ExitCode {
         }
     };
     match run_spec(&spec) {
-        Ok(()) => {
-            crate::cell_cache::persist_global_disk();
-            ExitCode::SUCCESS
-        }
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{}: {e}", kind.name());
             ExitCode::from(if e.is_usage() { 2 } else { 1 })

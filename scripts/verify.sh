@@ -100,6 +100,10 @@ echo "== warm disk cache is byte-identical to cold (five figures)"
 disk_figs=fig05,fig09,fig13,fig14,fig16
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_cold" 2>"$tmp/disk_cold.log"
+# Segments, not one file per cell: the cold store holds at most 8
+# regular files (sidecars included) and no temp-file leftovers.
+[ "$(find "$tmp/store" -type f | wc -l)" -le 8 ]
+[ -z "$(find "$tmp/store" -name '*.tmp*')" ]
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_warm" 2>"$tmp/disk_warm.log"
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
