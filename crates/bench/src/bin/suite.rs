@@ -30,11 +30,12 @@
 //!   (CLI beats `JUMANJI_*` env beats the per-figure default).
 //!   `--threads` also sizes the work-stealing pool.
 //! - `--trace PATH` — one shared JSONL sink for the whole suite (also
-//!   honours `JUMANJI_TRACE`); each unique cell's event stream is
-//!   emitted exactly once.
-//! - `--no-cache` — disable the shared cache: every cell computes fresh
-//!   (this forces the sequential path; scheduling into a disabled cache
-//!   would be pure waste).
+//!   honours `JUMANJI_TRACE`); the scheduler emits each unique cell's
+//!   event stream exactly once.
+//! - `--no-cache` — disable the shared cache and any store: the work
+//!   graph is skipped and every planned cell computes fresh, serially,
+//!   in the gather step (the reference run that exposes key
+//!   collisions).
 //! - `--cache-dir DIR` — back the cache with a persistent store (also
 //!   honours `JUMANJI_CACHE_DIR`): completed cells — analytic runs *and*
 //!   detailed-simulator reports — are read from and written to `DIR`, so
@@ -43,20 +44,19 @@
 //! - `--cache-cap-bytes N` — bound the persistent store (also honours
 //!   `JUMANJI_CACHE_CAP`): oldest cells are evicted first once the
 //!   store exceeds `N` bytes (0 = unbounded, the default).
-//! - `--sequential` — render figures one at a time without the work
-//!   graph (the A/B baseline `timings` measures against).
+//! - `--sequential` — skip the work graph: the gather step computes
+//!   each figure's cells serially, one figure at a time, through the
+//!   shared cache (the A/B baseline `timings` measures against).
 //!
+//! Every flag is parsed strictly before any file, directory or store is
+//! opened: a flag missing its value exits 2 and touches nothing.
 //! Per-figure timing and cache-delta lines go to stderr; exit codes match
 //! the figure binaries (usage → 2, runtime → 1).
 
-// The JUMANJI_TRACE fallback below mirrors spec.rs's env surface for the
-// suite CLI; sanctioned by a lint.toml [[allow]] — mirrored for clippy.
-#![allow(clippy::disallowed_methods)]
-
 use jumanji::telemetry::{Event, JsonlSink, NoopSink, Telemetry};
 use jumanji::types::Error;
-use jumanji_bench::cell_cache::{apply_cache_flags, CellCache, CellCacheStats};
-use jumanji_bench::exec::flag_value;
+use jumanji_bench::cell_cache::{CellCache, CellCacheStats};
+use jumanji_bench::spec::flag_text;
 use jumanji_bench::suite::{run_suite, SchedReport, SuiteFigure};
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use std::io::{BufWriter, Write};
@@ -78,12 +78,9 @@ struct FigureReport {
 /// anyway, and rendering the same figure twice in one suite is never
 /// what the caller meant.
 fn parse_figures(args: &[String]) -> Result<Vec<FigureKind>, Error> {
-    let Some(list) = flag_value(args, "--figures") else {
+    let Some(list) = flag_text(args, "--figures")? else {
         return Ok(FigureKind::all().to_vec());
     };
-    if list.is_empty() {
-        return Err(Error::flag("--figures", "expected a value"));
-    }
     let mut out = Vec::new();
     for name in list.split(',') {
         let name = name.trim();
@@ -102,24 +99,6 @@ fn parse_figures(args: &[String]) -> Result<Vec<FigureKind>, Error> {
         }
     }
     Ok(out)
-}
-
-/// The shared trace sink, if tracing: `--trace PATH` beats
-/// `JUMANJI_TRACE`. One sink for the whole suite, so per-figure runs
-/// append instead of truncating each other.
-fn trace_sink(args: &[String]) -> Result<Option<Arc<JsonlSink>>, Error> {
-    let path = match flag_value(args, "--trace") {
-        Some(p) if !p.is_empty() => Some(PathBuf::from(p)),
-        Some(_) => return Err(Error::flag("--trace", "expected a value")),
-        None => match std::env::var_os("JUMANJI_TRACE") {
-            Some(p) if !p.is_empty() => Some(PathBuf::from(p)),
-            _ => None,
-        },
-    };
-    Ok(match path {
-        Some(p) => Some(Arc::new(JsonlSink::create(&p)?)),
-        None => None,
-    })
 }
 
 fn cells_of(stats: &CellCacheStats) -> (u64, u64) {
@@ -235,29 +214,35 @@ fn write_stats(
 }
 
 fn run(args: &[String]) -> Result<(), Error> {
-    apply_cache_flags(args);
+    // Parse everything first: nothing below may open a file, directory
+    // or store on behalf of a flag that turns out to be malformed.
     let figures = parse_figures(args)?;
-    let out_dir = flag_value(args, "--out").map(PathBuf::from);
-    let stats_path = flag_value(args, "--stats").map(PathBuf::from);
+    let out_dir = flag_text(args, "--out")?.map(PathBuf::from);
+    let stats_path = flag_text(args, "--stats")?.map(PathBuf::from);
     let sequential = args.iter().any(|a| a == "--sequential");
-    let sink = trace_sink(args)?;
+    let mut specs = figures
+        .iter()
+        .map(|&kind| ExperimentSpec::from_args_env(kind))
+        .collect::<Result<Vec<_>, Error>>()?;
+    // Every spec resolved the same shared knobs from the same argv and
+    // environment; the first one speaks for the suite.
+    let first = specs[0].clone();
+    let threads = first.threads;
+    // The suite owns telemetry (one shared sink, so figures append
+    // instead of truncating each other's streams) and rendering.
+    for spec in &mut specs {
+        spec.trace = None;
+        spec.telemetry = None;
+    }
+
+    first.apply_cache();
+    let sink = match &first.trace {
+        Some(path) => Some(Arc::new(JsonlSink::create(path)?)),
+        None => None,
+    };
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir)?;
     }
-
-    let specs = figures
-        .iter()
-        .map(|&kind| {
-            // The suite owns telemetry (one shared sink) and rendering;
-            // clear the per-figure trace so figures don't truncate each
-            // other's streams.
-            let mut spec = ExperimentSpec::from_args_env(kind)?;
-            spec.trace = None;
-            spec.telemetry = None;
-            Ok(spec)
-        })
-        .collect::<Result<Vec<_>, Error>>()?;
-    let threads = specs.first().map_or(1, |s| s.threads);
     let tel: &dyn Telemetry = match &sink {
         Some(s) => s.as_ref(),
         None => &NoopSink,

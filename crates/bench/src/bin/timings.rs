@@ -29,7 +29,8 @@ use jumanji::sim::detail::{run_detailed, DetailOptions};
 use jumanji::sim::perf::Profile;
 use jumanji::types::{CoreId, VmId};
 use jumanji::workloads::LcLoad;
-use jumanji_bench::exec::{flag_value, thread_count};
+use jumanji_bench::exec::thread_count;
+use jumanji_bench::spec::flag_text;
 
 /// The binaries whose wall-clock the suite tracks, in run order.
 const SUITE: &[&str] = &[
@@ -344,7 +345,13 @@ fn detail_cache_timing(bin_dir: &Path, out_dir: &Path) -> DetailCacheTiming {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let out_dir = flag_value(&args, "--out").map_or_else(|| PathBuf::from("."), PathBuf::from);
+    let out_dir = match flag_text(&args, "--out") {
+        Ok(dir) => dir.map_or_else(|| PathBuf::from("."), PathBuf::from),
+        Err(e) => {
+            eprintln!("timings: {e}");
+            std::process::exit(2);
+        }
+    };
     let threads = thread_count();
 
     let bin_dir = std::env::current_exe()

@@ -4,7 +4,7 @@
 //! cells rendered eighteen different ways — fig13 and fig14 run the *same*
 //! experiments and differ only in rendering, the sensitivity study's
 //! default rows duplicate the main-results cells, and so on. [`CellCache`]
-//! memoizes the three expensive pure computations behind a cell, shared by
+//! memoizes the expensive pure computations behind a cell, shared by
 //! every worker thread and every figure in the process:
 //!
 //! - **experiments** — constructed [`Experiment`]s (profile hulls,
@@ -17,6 +17,11 @@
 //!   full input of [`run_detailed`];
 //! - **allocs** — one-shot [`DesignKind::allocate`] placements, keyed by
 //!   [`PlacementInput::content_key`] plus the design.
+//!
+//! Only the execution path reads it: the suite's scheduler writes every
+//! planned cell, and its gather step reads each figure's cells back
+//! ([`crate::suite`]); the plan resolves detailed cells' allocations
+//! through it ([`crate::figures::plan`]). Renderers never see it.
 //!
 //! Keys are 128-bit content fingerprints
 //! ([`fingerprint128`](jumanji::types::hash::fingerprint128)) of the
@@ -47,7 +52,9 @@
 //!
 //! The escape hatch: `--no-cache` on any figure binary (or
 //! `JUMANJI_NO_CACHE=1`) disables the global cache, making every lookup
-//! compute fresh (and ignoring any attached disk store).
+//! compute fresh (and ignoring any attached disk store). The suite then
+//! skips its scheduler and the gather step computes every planned cell
+//! itself — the reference run that would expose a key collision.
 
 use crate::disk_cache::{DiskCache, DiskCacheStats};
 use jumanji::core::{Allocation, DesignKind, PlacementInput};
@@ -64,7 +71,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 /// The cache identity of an experiment: a 128-bit content fingerprint of
 /// `(mix, load, opts)`. This is the key [`CellCache::experiment`] files
-/// entries under, exposed so the suite's plan pass ([`crate::plan`]) can
+/// entries under, exposed so the plan pass ([`crate::figures::plan`]) can
 /// name a cell without constructing it.
 pub fn experiment_key(mix: &WorkloadMix, load: LcLoad, opts: &SimOptions) -> u128 {
     fingerprint128(format!("exp|{load:?}|{opts:?}|{mix:?}").as_bytes())
@@ -485,51 +492,6 @@ impl CellCache {
     }
 }
 
-/// Applies process-level cache flags from a figure binary's argument
-/// list: `--no-cache` disables the global cache before any experiment
-/// runs; otherwise `--cache-dir DIR` (or `JUMANJI_CACHE_DIR`) attaches
-/// a persistent store to it and warm-starts the simulator's model
-/// memos from the store, and `--cache-cap-bytes N` (or
-/// `JUMANJI_CACHE_CAP`) bounds the store's size, evicting the
-/// least-recently-written entries on overflow.
-pub fn apply_cache_flags(args: &[String]) {
-    if wants_no_cache(args) {
-        CellCache::global().set_enabled(false);
-        return;
-    }
-    if let Some(dir) = cache_dir_from(args) {
-        attach_global_disk(&dir);
-        if let Some(cap) = cache_cap_from(args) {
-            if let Some(disk) = CellCache::global().disk() {
-                disk.set_cap_bytes(cap);
-                disk.enforce_cap();
-            }
-        }
-    }
-}
-
-/// The persistent-store directory requested by `args` or the
-/// environment: `--cache-dir DIR` / `--cache-dir=DIR` beats
-/// `JUMANJI_CACHE_DIR`; an empty value means "no store".
-#[allow(clippy::disallowed_methods)] // env read carries a lint.toml [[allow]]
-pub fn cache_dir_from(args: &[String]) -> Option<String> {
-    crate::exec::flag_value(args, "--cache-dir")
-        .or_else(|| std::env::var("JUMANJI_CACHE_DIR").ok())
-        .filter(|dir| !dir.is_empty())
-}
-
-/// The store size cap requested by `args` or the environment:
-/// `--cache-cap-bytes N` / `--cache-cap-bytes=N` beats
-/// `JUMANJI_CACHE_CAP`; an unparsable or zero value means "unbounded"
-/// (lenient, like every other env-sourced knob).
-#[allow(clippy::disallowed_methods)] // env read carries a lint.toml [[allow]]
-pub fn cache_cap_from(args: &[String]) -> Option<u64> {
-    crate::exec::flag_value(args, "--cache-cap-bytes")
-        .or_else(|| std::env::var("JUMANJI_CACHE_CAP").ok())
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&cap| cap > 0)
-}
-
 /// Opens `dir` and attaches it to the global cache, seeding the
 /// simulator's model memos from the store. An unopenable directory
 /// warns and leaves the cache memory-only — a bad flag costs the warm
@@ -562,10 +524,6 @@ pub fn persist_global_disk() {
         // over its limit; evict before the next process starts.
         disk.enforce_cap();
     }
-}
-
-fn wants_no_cache(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--no-cache")
 }
 
 #[cfg(test)]
@@ -739,19 +697,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(warm.stats().disk.expect("disk attached").hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_flags_are_recognised() {
-        // Parsing only: the global cache is shared with other tests, so
-        // this avoids flipping it.
-        let plain: Vec<String> = vec!["--mixes".into(), "2".into()];
-        assert!(!wants_no_cache(&plain));
-        let flagged: Vec<String> = vec!["--mixes".into(), "2".into(), "--no-cache".into()];
-        assert!(wants_no_cache(&flagged));
-        let dir: Vec<String> = vec!["--cache-dir".into(), "/tmp/x".into()];
-        assert_eq!(cache_dir_from(&dir), Some("/tmp/x".to_string()));
-        let eq: Vec<String> = vec!["--cache-dir=/tmp/y".into()];
-        assert_eq!(cache_dir_from(&eq), Some("/tmp/y".to_string()));
     }
 }

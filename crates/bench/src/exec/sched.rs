@@ -1,11 +1,10 @@
 //! Dependency-aware work-graph scheduler.
 //!
-//! [`parallel_map`](super::parallel_map) hands out independent,
-//! identically-shaped jobs through one atomic counter. The suite's
-//! cross-figure plan is a different animal: a *graph* of heterogeneous
-//! nodes (experiment constructions feeding design runs) whose costs span
-//! two orders of magnitude, where finishing a figure's last node should
-//! unblock rendering immediately. This module executes such graphs:
+//! Every figure's cells run here: the suite's cross-figure plan is a
+//! *graph* of heterogeneous nodes (experiment constructions feeding
+//! design runs, plus detailed-simulator cells) whose costs span two
+//! orders of magnitude, where finishing a figure's last node should
+//! unblock its render immediately. This module executes such graphs:
 //!
 //! - **Per-worker deques.** Each worker owns a deque of ready nodes and
 //!   pops from the front. Nodes a completion enables go to the front of
@@ -18,7 +17,8 @@
 //!   enough to amortize the next several claims.
 //! - **Long-pole-first.** Every node gets a priority = its cost prior
 //!   plus the heaviest chain of dependent work hanging off it
-//!   (critical-path-to-leaf over the [`plan`](crate::plan) cost priors).
+//!   (critical-path-to-leaf over the [`plan`](crate::figures::plan) cost
+//!   priors).
 //!   Seeds are dealt round-robin in descending priority, so the longest
 //!   poles start first and stragglers can't ambush the tail of the run.
 //!
@@ -28,7 +28,8 @@
 //! only wall-clock. Telemetry ([`Event::SchedSteal`],
 //! [`Event::SchedQueue`], [`Event::SchedWorker`], [`Event::SchedSummary`])
 //! records how the pool behaved, including the measured critical path —
-//! the wall-clock floor no worker count can beat.
+//! the wall-clock floor no worker count can beat — and one
+//! [`Event::WorkerSpan`] per node (the only emitter of that event).
 
 // exec/ is the sanctioned timing layer (lint.toml [paths].timing_allow);
 // the scheduler's epoch stamps feed telemetry, never fingerprinted output.

@@ -3,19 +3,16 @@
 //! (Fig. 5), the S-NUCA vs D-NUCA allocation curve (Fig. 8), and
 //! controller-parameter sensitivity (Fig. 9).
 
-use super::sim_opts;
-use crate::cell_cache::CellCache;
-use crate::exec::parallel_map_traced;
+use super::plan::fig09_cases;
+use super::{jumanji_vs_static, CompletedCells};
 use crate::spec::ExperimentSpec;
 use jumanji::cache::analytic::assoc_penalty;
 use jumanji::core::AppKind;
 use jumanji::noc::MeshNoc;
 use jumanji::prelude::*;
-use jumanji::sim::detail::{DetailOptions, DetailReport};
 use jumanji::sim::metrics::{gmean, percentile};
-use jumanji::sim::perf::Profile;
 use jumanji::sim::queueing::LcQueue;
-use jumanji::types::{AppId, BankId, CoreId, Error, Seconds, VmId};
+use jumanji::types::{AppId, BankId, CoreId, Error};
 use std::io::Write;
 
 const MB: f64 = 1048576.0;
@@ -57,67 +54,19 @@ fn render_map(
     out
 }
 
-/// The detailed-run options Fig. 2 uses. Shared with the plan pass,
-/// which must name the exact same cells the render looks up.
-pub(crate) fn fig02_opts(cfg: &SystemConfig, accesses: usize) -> DetailOptions {
-    DetailOptions {
-        cfg: cfg.clone(),
-        accesses_per_app: accesses,
-        ..DetailOptions::default()
-    }
-}
-
-/// Fig. 2's canonical profile assignment over the example placement
-/// input. Shared with the plan pass.
-pub(crate) fn fig02_profiles(input: &PlacementInput) -> Vec<Profile> {
-    let lc = tailbench();
-    let batch = spec2006();
-    input
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(i, a)| match a.kind {
-            AppKind::LatencyCritical => Profile::Lc(lc[i % lc.len()].clone(), LcLoad::High),
-            AppKind::Batch => Profile::Batch(batch[i % batch.len()].clone()),
-        })
-        .collect()
-}
-
 /// Fig. 2: representative data placements under each LLC design for the
 /// case-study workload, rendered as ASCII maps of the 5×4 LLC.
 ///
 /// Two maps per design: the *descriptor* placement (what the allocator
 /// asked for) and the *observed* occupancy (which VMs' lines actually
 /// sit in each bank after a detailed simulation of the allocation). The
-/// designs are independent cells fanned across the worker pool; output
-/// is byte-identical at any thread count.
-pub fn fig02(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+/// plan holds one detailed cell per design, in `spec.designs` order.
+pub fn fig02(cells: &CompletedCells, out: &mut dyn Write) -> Result<(), Error> {
     let cfg = SystemConfig::micro2020();
     let input = PlacementInput::example(&cfg);
     let mesh = cfg.mesh();
-    let profiles = fig02_profiles(&input);
-    let cores: Vec<CoreId> = input.apps.iter().map(|a| a.core).collect();
-    let vms: Vec<VmId> = input.apps.iter().map(|a| a.vm).collect();
-    let designs = &spec.designs;
-
-    // Each design's detailed simulation is an independent cell, read
-    // through the cell cache (warm after a scheduled suite run or a
-    // prior process with the same --cache-dir).
-    let reports: Vec<(Allocation, std::sync::Arc<DetailReport>)> =
-        parallel_map_traced(designs.len(), spec.threads, tel, |i| {
-            let alloc = CellCache::global().allocate(designs[i], &input);
-            let report = CellCache::global().run_detail(
-                &fig02_opts(&cfg, spec.accesses),
-                &profiles,
-                &cores,
-                &vms,
-                &alloc,
-                tel,
-            );
-            (alloc, report)
-        });
-
-    for (design, (alloc, report)) in designs.iter().zip(&reports) {
+    for (plan, report) in cells.plan.details.iter().zip(&cells.details) {
+        let (design, alloc) = (plan.design, &plan.alloc);
         writeln!(
             out,
             "# {design} placement ({}x{} banks)",
@@ -142,7 +91,7 @@ pub fn fig02(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
             } else {
                 "no"
             },
-            if report.vm_isolated(&vms) {
+            if report.vm_isolated(&plan.vms) {
                 "yes"
             } else {
                 "no"
@@ -155,12 +104,11 @@ pub fn fig02(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// Fig. 4: how the LLC designs behave over time on the case study —
 /// (a) average end-to-end xapian latency, (b) average LLC allocation for
 /// xapian, and (c) vulnerability to shared-cache-structure attacks.
-pub fn fig04(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    let opts = SimOptions {
-        duration: Seconds(4.0),
-        ..sim_opts(spec)
-    };
-    let mix = case_study_mix(spec.seed);
+pub fn fig04(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     writeln!(
         out,
         "# Fig. 4: case study over time (4 VMs x [xapian + 4 batch], high load)"
@@ -169,10 +117,8 @@ pub fn fig04(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
         out,
         "design\tt_ms\tavg_latency_ms\tavg_alloc_mb\tvulnerability"
     )?;
-    let cache = CellCache::global();
-    let exp = cache.experiment(mix, LcLoad::High, opts);
     for &design in &spec.designs {
-        let r = cache.run(&exp, design, tel);
+        let r = cells.run(0, design);
         for rec in &r.timeline {
             let lat: Vec<f64> = rec.lc_mean_latency_ms.iter().flatten().copied().collect();
             let avg_lat = if lat.is_empty() {
@@ -206,12 +152,12 @@ pub fn fig04(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 
 /// Fig. 5: end-to-end case-study results — normalized tail latency and
 /// batch weighted speedup for each LLC design.
-pub fn fig05(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    let opts = sim_opts(spec);
-    let mix = case_study_mix(spec.seed);
-    let cache = CellCache::global();
-    let exp = cache.experiment(mix, LcLoad::High, opts);
-    let baseline = cache.run(&exp, DesignKind::Static, tel);
+pub fn fig05(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
+    let baseline = cells.run(0, DesignKind::Static);
     writeln!(
         out,
         "# Fig. 5: case study end-to-end (normalized to Static)"
@@ -221,13 +167,13 @@ pub fn fig05(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
         "design\tworst_norm_tail\tbatch_speedup_pct\tvulnerability"
     )?;
     for &design in &spec.designs {
-        let r = cache.run(&exp, design, tel);
+        let r = cells.run(0, design);
         writeln!(
             out,
             "{}\t{:.3}\t{:.2}\t{:.2}",
             design,
             r.max_norm_tail(),
-            (r.weighted_speedup_vs(&baseline) - 1.0) * 100.0,
+            (r.weighted_speedup_vs(baseline) - 1.0) * 100.0,
             r.vulnerability
         )?;
     }
@@ -257,11 +203,7 @@ fn tail_ms(service: f64, interarrival: f64, freq: f64) -> f64 {
 /// allocation, with way-partitioning (S-NUCA) and with the allocation
 /// reserved in the closest banks (D-NUCA). Run in isolation at high
 /// load.
-pub fn fig08(
-    _spec: &ExperimentSpec,
-    _tel: &dyn Telemetry,
-    out: &mut dyn Write,
-) -> Result<(), Error> {
+pub fn fig08(out: &mut dyn Write) -> Result<(), Error> {
     let cfg = SystemConfig::micro2020();
     let noc = MeshNoc::new(&cfg);
     let xapian = tailbench()
@@ -325,98 +267,28 @@ pub fn fig08(
     Ok(())
 }
 
-/// One Fig. 9 controller variant: gmean speedup and worst tail over
-/// case-study seeds.
-fn fig09_run(
-    params: ControllerParams,
-    mixes: usize,
-    base_opts: &SimOptions,
-    tel: &dyn Telemetry,
-) -> (f64, f64) {
-    let cache = CellCache::global();
-    let mut speedups = Vec::new();
-    let mut worst_tail: f64 = 0.0;
-    for seed in 0..mixes as u64 {
-        let opts = SimOptions {
-            controller: Some(params),
-            ..base_opts.clone()
-        };
-        let exp = cache.experiment(case_study_mix(seed), LcLoad::High, opts);
-        let baseline = cache.run(&exp, DesignKind::Static, tel);
-        let r = cache.run(&exp, DesignKind::Jumanji, tel);
-        speedups.push(r.weighted_speedup_vs(&baseline));
-        worst_tail = worst_tail.max(r.max_norm_tail());
-    }
-    (gmean(&speedups), worst_tail)
-}
-
-/// The Fig. 9 controller-parameter grid: `(group, label, params)` rows
-/// in plotting order. Shared by the renderer and the suite's plan pass
-/// ([`super::plan`]) so both enumerate identical experiment cells.
-pub(crate) fn fig09_cases() -> Vec<(&'static str, &'static str, ControllerParams)> {
-    let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
-    let base = ControllerParams::micro2020(llc);
-    vec![
-        (
-            "target",
-            "75-85%",
-            ControllerParams {
-                target_low: 0.75,
-                target_high: 0.85,
-                ..base
-            },
-        ),
-        ("target", "85-95% (default)", base),
-        (
-            "target",
-            "90-100%",
-            ControllerParams {
-                target_low: 0.90,
-                target_high: 1.00,
-                ..base
-            },
-        ),
-        (
-            "panic",
-            "105%",
-            ControllerParams {
-                panic_threshold: 1.05,
-                ..base
-            },
-        ),
-        ("panic", "110% (default)", base),
-        (
-            "panic",
-            "120%",
-            ControllerParams {
-                panic_threshold: 1.20,
-                ..base
-            },
-        ),
-        ("step", "5%", ControllerParams { step: 0.05, ..base }),
-        ("step", "10% (default)", base),
-        ("step", "20%", ControllerParams { step: 0.20, ..base }),
-    ]
-}
-
 /// Fig. 9: sensitivity of Jumanji to the feedback controller's
 /// parameters — target latency range, panic threshold, and step size.
 /// Bars: gmean batch speedup; lines: worst normalized tail latency.
-pub fn fig09(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig09(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let base_opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 9: controller parameter sensitivity ({mixes} mixes, case study)"
     )?;
     writeln!(out, "group\tvariant\tgmean_speedup_pct\tworst_norm_tail")?;
-    for (group, label, params) in fig09_cases() {
-        let (speedup, tail) = fig09_run(params, mixes, &base_opts, tel);
+    // Each parameter row owns `mixes` consecutive cells of the plan.
+    for (row, (group, label, _)) in fig09_cases().into_iter().enumerate() {
+        let (speedups, worst_tail) = jumanji_vs_static(cells, row * mixes..(row + 1) * mixes);
         writeln!(
             out,
             "{group}\t{label}\t{:.2}\t{:.3}",
-            (speedup - 1.0) * 100.0,
-            tail
+            (gmean(&speedups) - 1.0) * 100.0,
+            worst_tail
         )?;
     }
     writeln!(

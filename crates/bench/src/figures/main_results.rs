@@ -2,31 +2,56 @@
 //! speedup distributions), Fig. 14 (vulnerability), Fig. 15 (energy),
 //! and Fig. 16 (the cost of Jumanji's security and simplicity).
 
-use super::{groups_by_load, load_label, sim_opts};
+use super::plan::matrices;
+use super::{load_label, CompletedCells};
 use crate::spec::ExperimentSpec;
-use crate::{run_matrices, BoxStats, LcGroup};
+use crate::{BoxStats, DesignCell, LcGroup, MixMetrics};
 use jumanji::prelude::*;
 use jumanji::types::Error;
 use std::io::Write;
+
+/// Per `(group, load)` matrix of the figure's plan, one [`DesignCell`]
+/// per design in `spec.designs` order, each normalized to its mix's
+/// Static baseline. Matrix `m` owns plan cells `m * mixes ..
+/// (m + 1) * mixes`, one per seed.
+fn design_cells(spec: &ExperimentSpec, cells: &CompletedCells) -> Vec<Vec<DesignCell>> {
+    let mixes = spec.mixes;
+    (0..cells.runs.len() / mixes)
+        .map(|m| {
+            spec.designs
+                .iter()
+                .map(|&design| {
+                    let mut cell = DesignCell::with_capacity(mixes);
+                    for i in m * mixes..(m + 1) * mixes {
+                        let baseline = cells.run(i, DesignKind::Static);
+                        cell.push(&MixMetrics::of(cells.run(i, design), baseline));
+                    }
+                    cell
+                })
+                .collect()
+        })
+        .collect()
+}
 
 /// Fig. 13: normalized tail latency and gmean batch weighted speedup
 /// (relative to Static) over random batch mixes, at high and low
 /// latency-critical load, for each workload group and design.
 ///
 /// Box-and-whisker rows: min, q1, median, q3, max over mixes.
-pub fn fig13(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig13(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 13: tail latency + batch speedup over {mixes} random mixes"
     )?;
     writeln!(out, "group\tload\tdesign\tmetric\tmin\tq1\tmedian\tq3\tmax")?;
-    // All (load, group) matrices go through one fan-out so every worker
-    // stays busy even at small mix counts.
-    let matrices = groups_by_load(&[LcLoad::High, LcLoad::Low]);
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
+    let matrices = matrices(spec.kind);
+    let results = design_cells(spec, cells);
     for ((group, load), cells) in matrices.iter().zip(&results) {
         let load_label = load_label(*load);
         for (design, cell) in designs.iter().zip(cells) {
@@ -74,12 +99,14 @@ pub fn fig13(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// Fig. 14: each LLC design's vulnerability to port attacks — average
 /// number of potential attackers per LLC access, averaged over all
 /// experiments.
-pub fn fig14(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig14(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
-    let matrices = groups_by_load(&[LcLoad::High, LcLoad::Low]);
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
+    let results = design_cells(spec, cells);
     let mut acc = vec![Vec::new(); designs.len()];
     for cells in &results {
         for (d, cell) in cells.iter().enumerate() {
@@ -106,10 +133,12 @@ pub fn fig14(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// Fig. 15: dynamic data-movement energy at high load, broken down into
 /// L1 / L2 / LLC banks / NoC / memory, normalized to the first design in
 /// the list (Static by default).
-pub fn fig15(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
-    let mixes = spec.mixes;
+pub fn fig15(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 15: data-movement energy at high load, normalized to Static"
@@ -117,11 +146,8 @@ pub fn fig15(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
     writeln!(out, "group\tdesign\tl1\tl2\tllc\tnoc\tmem\ttotal")?;
     let mut totals = vec![0.0f64; designs.len()];
     let mut static_total = 0.0f64;
-    let matrices: Vec<(LcGroup, LcLoad)> = LcGroup::all()
-        .into_iter()
-        .map(|g| (g, LcLoad::High))
-        .collect();
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
+    let matrices = matrices(spec.kind);
+    let results = design_cells(spec, cells);
     for ((group, _), cells) in matrices.iter().zip(&results) {
         // Per-group baseline (first design) for normalization.
         let base: f64 = cells[0]
@@ -176,21 +202,27 @@ pub fn fig15(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) ->
 /// of Jumanji vs. "Jumanji: Insecure" (no bank isolation) and "Jumanji:
 /// Ideal Batch" (no competition with latency-critical placement), at
 /// high and low load.
-pub fn fig16(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn fig16(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     let mixes = spec.mixes;
     let designs = &spec.designs;
-    let opts = sim_opts(spec);
     writeln!(
         out,
         "# Fig. 16: Jumanji vs Insecure vs Ideal Batch ({mixes} mixes/group)"
     )?;
     writeln!(out, "load\tgroup\tjumanji_pct\tinsecure_pct\tideal_pct")?;
-    let loads = [LcLoad::High, LcLoad::Low];
-    let matrices = groups_by_load(&loads);
-    let results = run_matrices(&matrices, designs, mixes, &opts, spec.threads, tel)?;
+    // The plan runs every group at one load, then at the next.
     let groups_per_load = LcGroup::all().len();
-    for (load, chunk) in loads.iter().zip(results.chunks(groups_per_load)) {
-        let label = load_label(*load);
+    let matrices = matrices(spec.kind);
+    let results = design_cells(spec, cells);
+    for (loads, chunk) in matrices
+        .chunks(groups_per_load)
+        .zip(results.chunks(groups_per_load))
+    {
+        let label = load_label(loads[0].1);
         let mut sums = vec![0.0f64; designs.len()];
         let mut count = 0.0;
         for (group, cells) in LcGroup::all().iter().zip(chunk) {

@@ -1,11 +1,19 @@
-//! Figure renderers: one `emit` function per figure/table/study, each
+//! Figure renderers: one pure function per figure/table/study, each
 //! writing the same TSV the original standalone binary printed.
 //!
-//! Every renderer takes the resolved [`ExperimentSpec`], a telemetry
-//! sink, and an output writer, so figures compose: a test can render
-//! into a `Vec<u8>` with a [`RecordingSink`](jumanji::telemetry::RecordingSink),
-//! while the binaries stream to stdout with a
-//! [`JsonlSink`](jumanji::telemetry::JsonlSink) behind `--trace`.
+//! Every figure is a plan plus a renderer. The plan ([`plan::of`])
+//! names the cells the figure reads; the suite
+//! ([`run_suite`](crate::suite::run_suite)) computes them and reads them
+//! back, in plan order, into [`CompletedCells`]; [`render`] turns those
+//! into TSV. A renderer never reaches the cell cache, telemetry, the
+//! worker pool or `spec.threads`: its output is a function of the spec
+//! and its completed cells, so it is byte-identical at every thread
+//! count and in every execution mode. jumanji-lint's `plan-bypass` rule
+//! forbids naming `CellCache` anywhere under this directory.
+//!
+//! The figures with nothing to plan (the closed-form fig08, the attack
+//! demos fig11/fig12, the config tables) compute their fixed scenarios
+//! inline.
 //!
 //! Output contract: at a figure's default spec, the bytes written to
 //! `out` are identical to the pre-spec binaries (the golden TSVs under
@@ -14,53 +22,96 @@
 
 use crate::spec::{ExperimentSpec, FigureKind};
 use jumanji::prelude::*;
+use jumanji::sim::detail::DetailReport;
 use jumanji::types::Error;
 use std::io::Write;
+use std::sync::Arc;
 
 mod attacks;
 mod case_study;
 mod main_results;
+// The plan lives outside this directory: it is the one part of the
+// figure pipeline allowed to name the cell cache (see its module docs).
+#[path = "../plan.rs"]
 pub mod plan;
 mod scaling;
 mod studies;
 mod tables;
 mod validate;
 
-/// Renders `spec.kind` to `out`, emitting telemetry into `tel`.
+/// A figure's plan with every planned cell completed: the whole input of
+/// a renderer.
+#[derive(Debug, Clone)]
+pub struct CompletedCells {
+    /// The plan the cells were read for.
+    pub plan: plan::FigurePlan,
+    /// Per analytic cell of the plan, one result per planned design, in
+    /// `plan.cells[i].designs` order.
+    pub runs: Vec<Vec<Arc<ExperimentResult>>>,
+    /// Per detailed cell of the plan, its report.
+    pub details: Vec<Arc<DetailReport>>,
+}
+
+impl CompletedCells {
+    /// The result of `design` on analytic cell `cell`.
+    ///
+    /// # Panics
+    ///
+    /// When the plan did not name `design` on that cell: a renderer
+    /// reading a cell its plan never listed is a bug, not a recompute.
+    pub fn run(&self, cell: usize, design: DesignKind) -> &ExperimentResult {
+        let at = self.plan.cells[cell]
+            .designs
+            .iter()
+            .position(|&d| d == design)
+            .unwrap_or_else(|| panic!("cell {cell} of the plan does not run {design}"));
+        &self.runs[cell][at]
+    }
+}
+
+/// Renders `spec.kind` from its completed cells to `out`.
 ///
 /// # Errors
 ///
 /// Usage errors for bad spec contents, runtime errors for I/O failures.
-pub fn emit(spec: &ExperimentSpec, tel: &dyn Telemetry, out: &mut dyn Write) -> Result<(), Error> {
+pub fn render(
+    spec: &ExperimentSpec,
+    cells: &CompletedCells,
+    out: &mut dyn Write,
+) -> Result<(), Error> {
     match spec.kind {
-        FigureKind::Fig02 => case_study::fig02(spec, tel, out),
-        FigureKind::Fig04 => case_study::fig04(spec, tel, out),
-        FigureKind::Fig05 => case_study::fig05(spec, tel, out),
-        FigureKind::Fig08 => case_study::fig08(spec, tel, out),
-        FigureKind::Fig09 => case_study::fig09(spec, tel, out),
-        FigureKind::Fig11 => attacks::fig11(spec, tel, out),
-        FigureKind::Fig12 => attacks::fig12(spec, tel, out),
-        FigureKind::Fig13 => main_results::fig13(spec, tel, out),
-        FigureKind::Fig14 => main_results::fig14(spec, tel, out),
-        FigureKind::Fig15 => main_results::fig15(spec, tel, out),
-        FigureKind::Fig16 => main_results::fig16(spec, tel, out),
-        FigureKind::Fig17 => scaling::fig17(spec, tel, out),
-        FigureKind::Fig18 => scaling::fig18(spec, tel, out),
-        FigureKind::Table2 => tables::table2(spec, tel, out),
-        FigureKind::Table3 => tables::table3(spec, tel, out),
-        FigureKind::Ablation => studies::ablation(spec, tel, out),
-        FigureKind::Sensitivity => studies::sensitivity(spec, tel, out),
-        FigureKind::Validate => validate::validate(spec, tel, out),
+        FigureKind::Fig02 => case_study::fig02(cells, out),
+        FigureKind::Fig04 => case_study::fig04(spec, cells, out),
+        FigureKind::Fig05 => case_study::fig05(spec, cells, out),
+        FigureKind::Fig08 => case_study::fig08(out),
+        FigureKind::Fig09 => case_study::fig09(spec, cells, out),
+        FigureKind::Fig11 => attacks::fig11(out),
+        FigureKind::Fig12 => attacks::fig12(out),
+        FigureKind::Fig13 => main_results::fig13(spec, cells, out),
+        FigureKind::Fig14 => main_results::fig14(spec, cells, out),
+        FigureKind::Fig15 => main_results::fig15(spec, cells, out),
+        FigureKind::Fig16 => main_results::fig16(spec, cells, out),
+        FigureKind::Fig17 => scaling::fig17(spec, cells, out),
+        FigureKind::Fig18 => scaling::fig18(spec, cells, out),
+        FigureKind::Table2 => tables::table2(out),
+        FigureKind::Table3 => tables::table3(out),
+        FigureKind::Ablation => studies::ablation(spec, cells, out),
+        FigureKind::Sensitivity => studies::sensitivity(spec, cells, out),
+        FigureKind::Validate => validate::validate(spec, cells, out),
     }
 }
 
-/// The `(group, load)` matrix list shared by Figs. 13/14/16: every
-/// workload group at high then low load.
-fn groups_by_load(loads: &[LcLoad]) -> Vec<(crate::LcGroup, LcLoad)> {
-    loads
-        .iter()
-        .flat_map(|&load| crate::LcGroup::all().into_iter().map(move |g| (g, load)))
-        .collect()
+/// Jumanji's per-cell batch speedups over the Static baseline, and its
+/// worst normalized tail, across plan cells `range`.
+fn jumanji_vs_static(cells: &CompletedCells, range: std::ops::Range<usize>) -> (Vec<f64>, f64) {
+    let mut speedups = Vec::new();
+    let mut worst_tail = 0.0f64;
+    for i in range {
+        let r = cells.run(i, DesignKind::Jumanji);
+        speedups.push(r.weighted_speedup_vs(cells.run(i, DesignKind::Static)));
+        worst_tail = worst_tail.max(r.max_norm_tail());
+    }
+    (speedups, worst_tail)
 }
 
 /// Display label for a load level.
@@ -71,19 +122,11 @@ fn load_label(load: LcLoad) -> &'static str {
     }
 }
 
-/// Analytic-simulator options derived from the spec (seed 1 — the
-/// default — reproduces the golden TSVs byte for byte).
-fn sim_opts(spec: &ExperimentSpec) -> SimOptions {
-    SimOptions {
-        seed: spec.seed,
-        ..SimOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jumanji::telemetry::{NoopSink, RecordingSink};
+    use crate::run_spec_to;
+    use jumanji::telemetry::RecordingSink;
 
     /// Renders `kind` at minimum cost into a buffer and sanity-checks it.
     fn smoke(kind: FigureKind, mixes: usize) -> String {
@@ -92,7 +135,7 @@ mod tests {
             .threads(2)
             .accesses(2_000);
         let mut buf = Vec::new();
-        emit(&spec, &NoopSink, &mut buf).expect("figure renders");
+        run_spec_to(&spec, &mut buf).expect("figure renders");
         let text = String::from_utf8(buf).expect("valid utf-8");
         assert!(
             text.starts_with('#'),
@@ -142,24 +185,23 @@ mod tests {
 
     #[test]
     fn trace_sink_sees_a_whole_figure_run() {
-        // Fig. 5 runs the baseline plus four designs serially; the sink
-        // must observe one RunSummary per run and the per-interval
-        // controller stream, without changing the rendered bytes.
-        let spec = ExperimentSpec::new(FigureKind::Fig05).threads(1);
+        // A standalone figure runs plan → schedule → render: the
+        // scheduler computes the baseline plus four designs once each
+        // and the sink sees one RunSummary per run plus the
+        // per-interval controller stream, without changing the bytes.
+        let spec = ExperimentSpec::new(FigureKind::Fig05).threads(2);
         let mut plain = Vec::new();
-        emit(&spec, &NoopSink, &mut plain).expect("renders");
-        let sink = RecordingSink::new();
+        run_spec_to(&spec, &mut plain).expect("renders");
+        let sink = Arc::new(RecordingSink::new());
         let mut traced = Vec::new();
-        emit(&spec, &sink, &mut traced).expect("renders");
+        run_spec_to(&spec.clone().telemetry(sink.clone()), &mut traced).expect("renders");
         assert_eq!(plain, traced, "telemetry must not perturb figure output");
         let events = sink.events();
         let summaries = events
             .iter()
-            .filter(|e| matches!(e, jumanji::telemetry::Event::RunSummary { .. }))
+            .filter(|e| matches!(e, Event::RunSummary { .. }))
             .count();
         assert_eq!(summaries, 1 + spec.designs.len());
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, jumanji::telemetry::Event::Controller { .. })));
+        assert!(events.iter().any(|e| matches!(e, Event::Controller { .. })));
     }
 }

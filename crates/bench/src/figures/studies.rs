@@ -1,15 +1,13 @@
 //! Reproduction studies beyond the paper's figures: the design-choice
 //! ablation and the modeling-constant sensitivity sweep.
 
-use super::sim_opts;
-use crate::cell_cache::CellCache;
-use crate::exec::parallel_map_traced;
+use super::plan::sensitivity_labels;
+use super::CompletedCells;
 use crate::spec::ExperimentSpec;
 use jumanji::core::jumanji_with_trades;
 use jumanji::prelude::*;
 use jumanji::sim::metrics::gmean;
-use jumanji::types::{Error, Seconds};
-use jumanji::workloads::WorkloadMix;
+use jumanji::types::Error;
 use std::io::Write;
 
 /// Ablation study of Jumanji's design choices (DESIGN.md §"ablations"):
@@ -23,19 +21,21 @@ use std::io::Write;
 ///    what the simple LatCritPlacer leaves on the table.
 /// 4. **Controller panic** (Sec. V-C): paper controller vs one with the
 ///    panic disabled — why the boost matters for tails.
+///
+/// Parts 2–4 read two plan cells per seed: the case-study mix under the
+/// paper's controller (cell `2 * seed`), then under the panic-disabled
+/// one (cell `2 * seed + 1`).
 pub fn ablation(
     spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
+    cells: &CompletedCells,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let mixes = spec.mixes;
-    let opts = sim_opts(spec);
-    let threads = spec.threads;
 
     // 1. Trade refinement on static placement problems.
     let cfg = SystemConfig::micro2020();
     let input = PlacementInput::example(&cfg);
-    let base = CellCache::global().allocate(DesignKind::Jumanji, &input);
+    let base = DesignKind::Jumanji.allocate(&input);
     let (traded, stats) = jumanji_with_trades(&input);
     let avg_batch_dist = |alloc: &jumanji::core::Allocation| -> f64 {
         let batch: Vec<_> = input
@@ -66,24 +66,21 @@ pub fn ablation(
         "# expected: few accepts, marginal distance change (the paper omitted trades).\n"
     )?;
 
-    // 2-3. Isolation and ideality costs over random mixes, one seed per
-    // worker-pool job.
-    let per_seed = parallel_map_traced(mixes, threads, tel, |seed| {
-        let cache = CellCache::global();
-        let exp = cache.experiment(case_study_mix(seed as u64), LcLoad::High, opts.clone());
-        let stat = cache.run(&exp, DesignKind::Static, tel);
-        (
-            cache
-                .run(&exp, DesignKind::Jumanji, tel)
-                .weighted_speedup_vs(&stat),
-            cache
-                .run(&exp, DesignKind::JumanjiInsecure, tel)
-                .weighted_speedup_vs(&stat),
-            cache
-                .run(&exp, DesignKind::JumanjiIdealBatch, tel)
-                .weighted_speedup_vs(&stat),
-        )
-    });
+    // 2-3. Isolation and ideality costs over random mixes.
+    let speedup = |seed: usize, design: DesignKind| {
+        cells
+            .run(2 * seed, design)
+            .weighted_speedup_vs(cells.run(2 * seed, DesignKind::Static))
+    };
+    let per_seed: Vec<(f64, f64, f64)> = (0..mixes)
+        .map(|seed| {
+            (
+                speedup(seed, DesignKind::Jumanji),
+                speedup(seed, DesignKind::JumanjiInsecure),
+                speedup(seed, DesignKind::JumanjiIdealBatch),
+            )
+        })
+        .collect();
     let jumanji_s: Vec<f64> = per_seed.iter().map(|r| r.0).collect();
     let insecure_s: Vec<f64> = per_seed.iter().map(|r| r.1).collect();
     let ideal_s: Vec<f64> = per_seed.iter().map(|r| r.2).collect();
@@ -111,22 +108,14 @@ pub fn ablation(
     )?;
 
     // 4. Panic ablation: raise the threshold out of reach.
-    let no_panic = no_panic_params();
-    let tails = parallel_map_traced(mixes, threads, tel, |seed| {
-        let cache = CellCache::global();
-        let exp = cache.experiment(case_study_mix(seed as u64), LcLoad::High, opts.clone());
-        let with_t = cache.run(&exp, DesignKind::Jumanji, tel).max_norm_tail();
-        let exp2 = cache.experiment(
-            case_study_mix(seed as u64),
-            LcLoad::High,
-            SimOptions {
-                controller: Some(no_panic),
-                ..opts.clone()
-            },
-        );
-        let without_t = cache.run(&exp2, DesignKind::Jumanji, tel).max_norm_tail();
-        (with_t, without_t)
-    });
+    let tails: Vec<(f64, f64)> = (0..mixes)
+        .map(|seed| {
+            (
+                cells.run(2 * seed, DesignKind::Jumanji).max_norm_tail(),
+                cells.run(2 * seed + 1, DesignKind::Jumanji).max_norm_tail(),
+            )
+        })
+        .collect();
     let with_t = tails.iter().map(|t| t.0).fold(0.0f64, f64::max);
     let without_t = tails.iter().map(|t| t.1).fold(0.0f64, f64::max);
     writeln!(out, "# Ablation 4: controller panic boost")?;
@@ -142,18 +131,6 @@ pub fn ablation(
     Ok(())
 }
 
-/// The panic-disabled controller of ablation part 4: the paper's
-/// parameters with the panic threshold raised out of reach. Shared by
-/// the renderer and the suite's plan pass ([`super::plan`]) so both
-/// name the panic-ablation cells identically.
-pub(crate) fn no_panic_params() -> ControllerParams {
-    let llc = SystemConfig::micro2020().llc.total_bytes() as f64;
-    ControllerParams {
-        panic_threshold: f64::MAX,
-        ..ControllerParams::micro2020(llc)
-    }
-}
-
 struct Row {
     label: String,
     jumanji_speedup: f64,
@@ -161,90 +138,6 @@ struct Row {
     adaptive_speedup: f64,
     jumanji_tail: f64,
     jigsaw_tail: f64,
-}
-
-// lint:allow(plan-bypass): the mix/opts arrive as parameters — every caller
-// builds them via sensitivity_jobs(), the shared plan helper for this sweep.
-fn sensitivity_run_one(
-    mix: WorkloadMix,
-    opts: SimOptions,
-    label: String,
-    tel: &dyn Telemetry,
-) -> Row {
-    let cache = CellCache::global();
-    let exp = cache.experiment(mix, LcLoad::High, opts);
-    let stat = cache.run(&exp, DesignKind::Static, tel);
-    let jumanji = cache.run(&exp, DesignKind::Jumanji, tel);
-    let jigsaw = cache.run(&exp, DesignKind::Jigsaw, tel);
-    let adaptive = cache.run(&exp, DesignKind::Adaptive, tel);
-    Row {
-        label,
-        jumanji_speedup: (jumanji.weighted_speedup_vs(&stat) - 1.0) * 100.0,
-        jigsaw_speedup: (jigsaw.weighted_speedup_vs(&stat) - 1.0) * 100.0,
-        adaptive_speedup: (adaptive.weighted_speedup_vs(&stat) - 1.0) * 100.0,
-        jumanji_tail: jumanji.max_norm_tail(),
-        jigsaw_tail: jigsaw.max_norm_tail(),
-    }
-}
-
-/// The sensitivity sweep's job list for `n` seeds per knob:
-/// `(mix, options, label)` rows in sweep order. Shared by the renderer
-/// and the suite's plan pass ([`super::plan`]) so both enumerate
-/// identical cells. Construction is cheap and deterministic.
-pub(crate) fn sensitivity_jobs(n: usize) -> Vec<(WorkloadMix, SimOptions, String)> {
-    let mut jobs: Vec<(WorkloadMix, SimOptions, String)> = Vec::new();
-
-    // 1. Miss-serialization factor of the LC service model.
-    for stall in [2.0f64, 3.0, 4.0] {
-        for seed in 0..n as u64 {
-            let mut mix = case_study_mix(seed);
-            for vm in &mut mix.vms {
-                for lc in &mut vm.lc {
-                    lc.miss_stall = stall;
-                }
-            }
-            jobs.push((mix, SimOptions::default(), format!("miss_stall\t{stall}x")));
-        }
-    }
-    // 2. Simulated horizon.
-    for secs in [2.0f64, 4.0, 8.0] {
-        for seed in 0..n as u64 {
-            jobs.push((
-                case_study_mix(seed),
-                SimOptions {
-                    duration: Seconds(secs),
-                    ..SimOptions::default()
-                },
-                format!("duration\t{secs}s"),
-            ));
-        }
-    }
-    // 3. Reconfiguration period (the paper: "more frequent
-    //    reconfigurations do not improve results").
-    for ms in [50.0f64, 100.0, 200.0] {
-        for seed in 0..n as u64 {
-            jobs.push((
-                case_study_mix(seed),
-                SimOptions {
-                    reconfig: Seconds::from_millis(ms),
-                    ..SimOptions::default()
-                },
-                format!("reconfig\t{ms}ms"),
-            ));
-        }
-    }
-    // 4. Arrival-stream seeds.
-    for seed in 0..(3 * n as u64) {
-        jobs.push((
-            case_study_mix(seed),
-            SimOptions {
-                seed: seed ^ 0xC0FFEE,
-                ..SimOptions::default()
-            },
-            "seed\tvaried".to_string(),
-        ));
-    }
-    jobs
 }
 
 /// Robustness of the reproduction's conclusions to its modeling
@@ -258,7 +151,7 @@ pub(crate) fn sensitivity_jobs(n: usize) -> Vec<(WorkloadMix, SimOptions, String
 /// gain nothing — hold across those choices.
 pub fn sensitivity(
     spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
+    cells: &CompletedCells,
     out: &mut dyn Write,
 ) -> Result<(), Error> {
     let n = spec.mixes;
@@ -270,14 +163,25 @@ pub fn sensitivity(
         out,
         "knob\tvariant\tjumanji%\tjigsaw%\tadaptive%\tjumanji_tail\tjigsaw_tail"
     )?;
-    // The expensive part (the four simulation runs per job) fans out
-    // across the thread pool, with results landing back in list order.
-    let jobs = sensitivity_jobs(n);
-
-    let rows: Vec<Row> = parallel_map_traced(jobs.len(), spec.threads, tel, |i| {
-        let (mix, opts, label) = &jobs[i];
-        sensitivity_run_one(mix.clone(), opts.clone(), label.clone(), tel)
-    });
+    // One plan cell per sweep job, labelled in the same order.
+    let rows: Vec<Row> = sensitivity_labels(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, label)| {
+            let stat = cells.run(i, DesignKind::Static);
+            let jumanji = cells.run(i, DesignKind::Jumanji);
+            let jigsaw = cells.run(i, DesignKind::Jigsaw);
+            let adaptive = cells.run(i, DesignKind::Adaptive);
+            Row {
+                label,
+                jumanji_speedup: (jumanji.weighted_speedup_vs(stat) - 1.0) * 100.0,
+                jigsaw_speedup: (jigsaw.weighted_speedup_vs(stat) - 1.0) * 100.0,
+                adaptive_speedup: (adaptive.weighted_speedup_vs(stat) - 1.0) * 100.0,
+                jumanji_tail: jumanji.max_norm_tail(),
+                jigsaw_tail: jigsaw.max_norm_tail(),
+            }
+        })
+        .collect();
 
     // Aggregate rows by label.
     let mut agg: Vec<(String, Vec<&Row>)> = Vec::new();

@@ -9,16 +9,20 @@
 //!
 //! - [`ExperimentSpec`] / [`FigureKind`] ([`spec`]): *what to run*. One
 //!   builder covers every figure's knobs (mixes, threads, seed, designs,
-//!   detailed-sim accesses, telemetry), with `--flag` > `JUMANJI_*` env >
-//!   per-figure default resolution and typed usage errors.
-//! - [`figures`]: *how each figure renders*, writing TSV to any
-//!   `io::Write`.
-//! - The design-matrix engine ([`run_mix`], [`run_matrix`],
-//!   [`run_matrices`]): random mixes × designs fanned over a worker pool,
-//!   sharing one Static baseline per mix.
-//! - [`BoxStats`]: five-number summaries for box-and-whisker rows.
-//! - [`exec`]: the deterministic parallel-map engine and its traced
-//!   variant.
+//!   detailed-sim accesses, telemetry, cache controls), with `--flag` >
+//!   `JUMANJI_*` env > per-figure default resolution and typed usage
+//!   errors.
+//! - [`figures`]: *what each figure reads and how it renders*: a plan
+//!   ([`figures::plan`]) naming the figure's cells, and a pure renderer
+//!   writing TSV from the completed cells to any `io::Write`.
+//! - [`suite`]: *the one execution path*: plan → union → schedule →
+//!   gather → render, for one figure (the binaries, via [`run_spec_to`])
+//!   or many (the `suite` binary).
+//! - [`cell_cache`] / [`disk_cache`]: the process-wide cell memo and its
+//!   persistent store.
+//! - [`BoxStats`], [`DesignCell`], [`MixMetrics`], [`LcGroup`]: the
+//!   main-results figures' summaries and workload groups.
+//! - [`exec`]: the work-graph scheduler and worker-count resolution.
 //!
 //! Fallible operations return [`enum@Error`] instead of panicking;
 //! [`figure_main`] maps usage errors to exit code 2 and runtime errors
@@ -139,7 +143,7 @@ impl BoxStats {
     }
 }
 
-/// Result of running one (workload group, load, design) cell of Fig. 13:
+/// One (workload group, load, design) entry of the main-results matrix:
 /// distributions over mixes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignCell {
@@ -258,173 +262,9 @@ impl LcGroup {
     }
 }
 
-/// The exact `(mix, options)` inputs a [`run_mix`] call for `seed`
-/// simulates — and therefore the content the [`CellCache`] keys its
-/// cells under. The suite's plan pass
-/// ([`figures::plan`](crate::figures::plan)) uses this to *name* a mix's
-/// cells without running them; keeping the derivation in one place
-/// guarantees the plan and the render agree byte-for-byte on cache keys.
-///
-/// # Errors
-///
-/// Returns [`Error::UnknownWorkload`] when the group names no server.
-pub fn mix_cell_inputs(
-    group: LcGroup,
-    seed: u64,
-    opts: &SimOptions,
-) -> Result<(WorkloadMix, SimOptions), Error> {
-    let mut opts = opts.clone();
-    opts.seed ^= seed.wrapping_mul(0x9E37_79B9);
-    Ok((group.mix(seed)?, opts))
-}
-
-/// Runs every design on one `(group, load)` mix, sharing a single Static
-/// baseline run. Returns per-design metrics in `designs` order.
-///
-/// Seed derivation matches the serial harness exactly
-/// (`opts.seed ^ seed · 0x9E37_79B9`), so this is safe to fan out across
-/// threads: each mix's RNG streams depend only on its own seed.
-///
-/// Every run (including the Static baseline) goes through
-/// [`Experiment::run`] with `tel`, so an enabled sink sees the
-/// per-interval controller and allocation events of the whole matrix.
-///
-/// # Errors
-///
-/// Returns [`Error::UnknownWorkload`] when the group names no server.
-pub fn run_mix(
-    group: LcGroup,
-    load: LcLoad,
-    designs: &[DesignKind],
-    seed: u64,
-    opts: &SimOptions,
-    tel: &dyn Telemetry,
-) -> Result<Vec<MixMetrics>, Error> {
-    run_mix_with(CellCache::global(), group, load, designs, seed, opts, tel)
-}
-
-/// [`run_mix`] against an explicit [`CellCache`] (the public entry point
-/// uses the process-wide one). Identical cells — same group, load, seed,
-/// options, and design — are simulated once per process and reused by
-/// every figure that asks for them.
-///
-/// # Errors
-///
-/// Returns [`Error::UnknownWorkload`] when the group names no server.
-pub fn run_mix_with(
-    cache: &CellCache,
-    group: LcGroup,
-    load: LcLoad,
-    designs: &[DesignKind],
-    seed: u64,
-    opts: &SimOptions,
-    tel: &dyn Telemetry,
-) -> Result<Vec<MixMetrics>, Error> {
-    let (mix, opts) = mix_cell_inputs(group, seed, opts)?;
-    let exp = cache.experiment(mix, load, opts);
-    let baseline = cache.run(&exp, DesignKind::Static, tel);
-    Ok(designs
-        .iter()
-        .map(|&design| {
-            if design == DesignKind::Static {
-                MixMetrics::of(&baseline, &baseline)
-            } else {
-                MixMetrics::of(&cache.run(&exp, design, tel), &baseline)
-            }
-        })
-        .collect())
-}
-
-/// Runs `design` and the Static baseline over `mixes` random mixes of one
-/// workload group at one load, collecting the Fig. 13 distributions.
-///
-/// # Errors
-///
-/// Propagates [`run_mix`] errors.
-pub fn run_cell(
-    group: LcGroup,
-    load: LcLoad,
-    design: DesignKind,
-    mixes: usize,
-    opts: &SimOptions,
-    threads: usize,
-    tel: &dyn Telemetry,
-) -> Result<DesignCell, Error> {
-    Ok(
-        run_matrix(group, load, &[design], mixes, opts, threads, tel)?
-            .pop()
-            .expect("one design in, one cell out"),
-    )
-}
-
-/// Runs every design (plus baseline) over mixes, returning per-design
-/// cells in `designs` order — shares the Static baseline across designs
-/// and fans mixes across `threads` workers (`1` = reference serial order;
-/// any other count produces identical results).
-///
-/// # Errors
-///
-/// Propagates [`run_mix`] errors.
-pub fn run_matrix(
-    group: LcGroup,
-    load: LcLoad,
-    designs: &[DesignKind],
-    mixes: usize,
-    opts: &SimOptions,
-    threads: usize,
-    tel: &dyn Telemetry,
-) -> Result<Vec<DesignCell>, Error> {
-    let per_mix = exec::parallel_map_traced(mixes, threads, tel, |seed| {
-        run_mix(group, load, designs, seed as u64, opts, tel)
-    });
-    let per_mix: Vec<Vec<MixMetrics>> = per_mix.into_iter().collect::<Result<_, _>>()?;
-    Ok(collect_cells(designs.len(), mixes, &per_mix))
-}
-
-/// Runs a whole batch of `(group, load)` matrices in one thread-pool
-/// fan-out, so parallelism spans cells as well as mixes (a figure run with
-/// `--mixes 4` still keeps every worker busy). Returns one `Vec<DesignCell>`
-/// per input matrix, in order, each identical to a [`run_matrix`] call.
-///
-/// # Errors
-///
-/// Propagates [`run_mix`] errors.
-pub fn run_matrices(
-    matrices: &[(LcGroup, LcLoad)],
-    designs: &[DesignKind],
-    mixes: usize,
-    opts: &SimOptions,
-    threads: usize,
-    tel: &dyn Telemetry,
-) -> Result<Vec<Vec<DesignCell>>, Error> {
-    let per_job = exec::parallel_map_traced(matrices.len() * mixes, threads, tel, |i| {
-        let (group, load) = matrices[i / mixes];
-        run_mix(group, load, designs, (i % mixes) as u64, opts, tel)
-    });
-    let per_job: Vec<Vec<MixMetrics>> = per_job.into_iter().collect::<Result<_, _>>()?;
-    Ok(per_job
-        .chunks(mixes)
-        .map(|chunk| collect_cells(designs.len(), mixes, chunk))
-        .collect())
-}
-
-/// Transposes per-mix metric rows into per-design cells.
-fn collect_cells(designs: usize, mixes: usize, per_mix: &[Vec<MixMetrics>]) -> Vec<DesignCell> {
-    let mut cells: Vec<DesignCell> = (0..designs)
-        .map(|_| DesignCell::with_capacity(mixes))
-        .collect();
-    for row in per_mix {
-        for (cell, m) in cells.iter_mut().zip(row) {
-            cell.push(m);
-        }
-    }
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jumanji::telemetry::RecordingSink;
 
     #[test]
     fn box_stats_quartiles() {
@@ -488,137 +328,5 @@ mod tests {
         let err = LcGroup::Same("nonesuch").mix(0).expect_err("must fail");
         assert!(err.is_usage());
         assert!(err.to_string().contains("nonesuch"));
-    }
-
-    fn quick_opts() -> SimOptions {
-        SimOptions {
-            duration: jumanji::types::Seconds(0.5),
-            ..SimOptions::default()
-        }
-    }
-
-    #[test]
-    fn parallel_matrix_matches_serial_exactly() {
-        // The engine must be a pure wall-clock optimization: same seeds,
-        // same results, bit for bit, at any worker count.
-        let designs = [DesignKind::Static, DesignKind::Jigsaw, DesignKind::Jumanji];
-        let serial = run_matrix(
-            LcGroup::Same("xapian"),
-            LcLoad::High,
-            &designs,
-            2,
-            &quick_opts(),
-            1,
-            &NoopSink,
-        )
-        .expect("known workload");
-        let parallel = run_matrix(
-            LcGroup::Same("xapian"),
-            LcLoad::High,
-            &designs,
-            2,
-            &quick_opts(),
-            4,
-            &NoopSink,
-        )
-        .expect("known workload");
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn traced_matrix_matches_untraced_and_emits_controller_events() {
-        let designs = [DesignKind::Jumanji];
-        let plain = run_matrix(
-            LcGroup::Mixed,
-            LcLoad::High,
-            &designs,
-            1,
-            &quick_opts(),
-            1,
-            &NoopSink,
-        )
-        .expect("mixed group");
-        let sink = RecordingSink::new();
-        let traced = run_matrix(
-            LcGroup::Mixed,
-            LcLoad::High,
-            &designs,
-            1,
-            &quick_opts(),
-            1,
-            &sink,
-        )
-        .expect("mixed group");
-        assert_eq!(plain, traced, "tracing must not perturb results");
-        let events = sink.events();
-        // Baseline + Jumanji, 5 intervals each, 4 LC apps.
-        let controllers = events
-            .iter()
-            .filter(|e| matches!(e, Event::Controller { .. }))
-            .count();
-        assert_eq!(controllers, 2 * 5 * 4);
-        let summaries = events
-            .iter()
-            .filter(|e| matches!(e, Event::RunSummary { .. }))
-            .count();
-        assert_eq!(summaries, 2);
-        let spans = events
-            .iter()
-            .filter(|e| matches!(e, Event::WorkerSpan { .. }))
-            .count();
-        assert_eq!(spans, 1, "one parallel-map job");
-    }
-
-    #[test]
-    fn run_matrices_matches_individual_matrices() {
-        let designs = [DesignKind::Static, DesignKind::Jumanji];
-        let matrices = [
-            (LcGroup::Same("silo"), LcLoad::Low),
-            (LcGroup::Mixed, LcLoad::High),
-        ];
-        let batched = run_matrices(&matrices, &designs, 2, &quick_opts(), 4, &NoopSink)
-            .expect("known workloads");
-        for ((group, load), cells) in matrices.iter().zip(&batched) {
-            let single = run_matrix(*group, *load, &designs, 2, &quick_opts(), 1, &NoopSink)
-                .expect("known workloads");
-            assert_eq!(*cells, single);
-        }
-    }
-
-    #[test]
-    fn cached_mix_matches_uncached_and_dedups_repeats() {
-        let designs = [DesignKind::Static, DesignKind::Jigsaw, DesignKind::Jumanji];
-        let cached = CellCache::new();
-        let uncached = CellCache::new();
-        uncached.set_enabled(false);
-        let run = |cache: &CellCache| {
-            run_mix_with(
-                cache,
-                LcGroup::Same("moses"),
-                LcLoad::High,
-                &designs,
-                1,
-                &quick_opts(),
-                &NoopSink,
-            )
-            .expect("known workload")
-        };
-        assert_eq!(
-            run(&cached),
-            run(&uncached),
-            "cache must not change results"
-        );
-        // Second pass over the same cell: everything served from cache.
-        assert_eq!(run(&cached), run(&cached));
-        let s = cached.stats();
-        assert_eq!(s.experiments.misses, 1, "one experiment construction");
-        // Handles are lazy: later designs share the first force's
-        // OnceLock and warm passes never force at all, so the
-        // experiments map records no further traffic.
-        assert_eq!(s.experiments.hits, 0);
-        // Static baseline + 2 non-static designs, computed once each.
-        assert_eq!(s.runs.misses, 3);
-        assert_eq!(s.runs.hits, 6);
-        assert_eq!(uncached.stats().runs.entries, 0);
     }
 }

@@ -6,15 +6,22 @@
 //! builder, with one resolution order everywhere:
 //!
 //! 1. CLI flag (`--mixes`, `--threads`, `--seed`, `--accesses`,
-//!    `--trace`, `--cache-dir`, `--no-cache`) — strict: a missing or
-//!    unparseable value is a usage error.
+//!    `--trace`, `--cache-dir`, `--cache-cap-bytes`, `--no-cache`) —
+//!    strict: a missing or unparseable value is a usage error, raised
+//!    before any file, directory or store is opened.
 //! 2. Environment (`JUMANJI_MIXES`, `JUMANJI_THREADS`, `JUMANJI_TRACE`,
-//!    `JUMANJI_CACHE_DIR`, `JUMANJI_NO_CACHE`) — lenient: an
-//!    unparseable value falls through, so a stale export degrades to
-//!    the default instead of silently meaning something else.
+//!    `JUMANJI_CACHE_DIR`, `JUMANJI_CACHE_CAP`, `JUMANJI_NO_CACHE`) —
+//!    lenient: an unparseable value falls through, so a stale export
+//!    degrades to the default instead of silently meaning something
+//!    else.
 //! 3. The spec's builder value ([`ExperimentSpec::cache_dir`] /
 //!    [`ExperimentSpec::no_cache`] for the cache controls), then the
 //!    figure's own default ([`FigureKind::default_mixes`] etc.).
+//!
+//! [`ExperimentSpec::from_args_env`] is exactly that: the environment
+//! fills in over the defaults, then one strict CLI pass
+//! ([`ExperimentSpec::from_args`]'s) runs over the result. Every binary
+//! parses flags with [`flag_text`].
 //!
 //! A binary is then a one-liner:
 //!
@@ -39,7 +46,8 @@
 // [paths].env_allow), so the env-read ban does not apply here.
 #![allow(clippy::disallowed_methods)]
 
-use crate::figures;
+use crate::cell_cache::{attach_global_disk, persist_global_disk, CellCache};
+use crate::suite::run_suite;
 use jumanji::prelude::*;
 use jumanji::types::Error;
 use std::io::Write;
@@ -204,9 +212,13 @@ pub struct ExperimentSpec {
     /// Designs to evaluate, for figures that iterate over a design list.
     pub designs: Vec<DesignKind>,
     /// Back the shared cell cache with a persistent store at this
-    /// directory (applied by [`run_spec_to`]; ignored when `no_cache`
-    /// is set).
+    /// directory (applied by [`ExperimentSpec::apply_cache`]; ignored
+    /// when `no_cache` is set).
     pub cache_dir: Option<PathBuf>,
+    /// Bound the persistent store to this many bytes, evicting the
+    /// least-recently-written cells on overflow (`None` or zero means
+    /// unbounded).
+    pub cache_cap_bytes: Option<u64>,
     /// Disable the shared cell cache entirely: every cell computes
     /// fresh (beats `cache_dir`).
     pub no_cache: bool,
@@ -227,6 +239,7 @@ impl std::fmt::Debug for ExperimentSpec {
             .field("accesses", &self.accesses)
             .field("designs", &self.designs)
             .field("cache_dir", &self.cache_dir)
+            .field("cache_cap_bytes", &self.cache_cap_bytes)
             .field("no_cache", &self.no_cache)
             .field("trace", &self.trace)
             .field("telemetry", &self.telemetry.as_ref().map(|_| ".."))
@@ -246,6 +259,7 @@ impl ExperimentSpec {
             accesses: kind.default_accesses(),
             designs: kind.default_designs(),
             cache_dir: None,
+            cache_cap_bytes: None,
             no_cache: false,
             trace: None,
             telemetry: None,
@@ -312,7 +326,7 @@ impl ExperimentSpec {
     }
 
     /// Parses an argv-style slice (program name first or not — only
-    /// `--flag value` pairs are inspected).
+    /// `--flag value` pairs are inspected) over the figure's defaults.
     ///
     /// # Errors
     ///
@@ -320,32 +334,12 @@ impl ExperimentSpec {
     /// missing or unparseable value. Unrecognized arguments are ignored,
     /// as the original binaries did.
     pub fn from_args(kind: FigureKind, args: &[String]) -> Result<ExperimentSpec, Error> {
-        let mut spec = ExperimentSpec::new(kind);
-        if let Some(v) = parse_flag(args, "--mixes")? {
-            spec.mixes = v;
-        }
-        if let Some(v) = parse_flag(args, "--threads")? {
-            spec.threads = v;
-        }
-        if let Some(v) = parse_flag(args, "--seed")? {
-            spec.seed = v;
-        }
-        if let Some(v) = parse_flag(args, "--accesses")? {
-            spec.accesses = v;
-        }
-        if let Some(p) = flag_text(args, "--trace")? {
-            spec.trace = Some(PathBuf::from(p));
-        }
-        resolve_cache_controls(&mut spec, args, None, None)?;
-        spec.mixes = spec.mixes.max(1);
-        spec.threads = spec.threads.max(1);
-        spec.accesses = spec.accesses.max(1);
-        Ok(spec)
+        ExperimentSpec::new(kind).with_args(args)
     }
 
     /// [`Self::from_args`] on the process's own argv, with the
-    /// environment filled in underneath: CLI beats `JUMANJI_MIXES` /
-    /// `JUMANJI_THREADS` / `JUMANJI_TRACE` beats the figure's default.
+    /// environment filled in underneath: CLI beats `JUMANJI_*` beats the
+    /// figure's default.
     ///
     /// # Errors
     ///
@@ -353,79 +347,110 @@ impl ExperimentSpec {
     /// to parse fall through to the default.
     pub fn from_args_env(kind: FigureKind) -> Result<ExperimentSpec, Error> {
         let args: Vec<String> = std::env::args().collect();
-        let mut spec = ExperimentSpec::new(kind);
-        // Environment first (lenient), so CLI overwrites it.
-        if let Some(v) = env_count("JUMANJI_MIXES") {
-            spec.mixes = v.max(1);
-        }
-        if let Some(v) = env_count("JUMANJI_THREADS") {
-            spec.threads = v.max(1);
-        }
-        if let Some(p) = std::env::var_os("JUMANJI_TRACE") {
-            if !p.is_empty() {
-                spec.trace = Some(PathBuf::from(p));
-            }
-        }
-        if let Some(v) = parse_flag::<usize>(&args, "--mixes")? {
-            spec.mixes = v.max(1);
-        }
-        if let Some(v) = parse_flag::<usize>(&args, "--threads")? {
-            spec.threads = v.max(1);
-        }
-        if let Some(v) = parse_flag::<u64>(&args, "--seed")? {
-            spec.seed = v;
-        }
-        if let Some(v) = parse_flag::<usize>(&args, "--accesses")? {
-            spec.accesses = v.max(1);
-        }
-        if let Some(p) = flag_text(&args, "--trace")? {
-            spec.trace = Some(PathBuf::from(p));
-        }
-        resolve_cache_controls(
-            &mut spec,
-            &args,
-            std::env::var("JUMANJI_NO_CACHE").ok(),
-            std::env::var("JUMANJI_CACHE_DIR").ok(),
-        )?;
-        Ok(spec)
+        ExperimentSpec::new(kind)
+            .with_env(|var| std::env::var(var).ok())
+            .with_args(&args)
     }
-}
 
-/// Resolves the spec's cache controls with the binaries' precedence:
-/// CLI flag beats environment beats whatever the builder set. The
-/// environment is lenient (empty or `0` means unset), the CLI strict —
-/// factored over explicit `env_*` values so tests need not mutate
-/// process environment.
-fn resolve_cache_controls(
-    spec: &mut ExperimentSpec,
-    args: &[String],
-    env_no_cache: Option<String>,
-    env_cache_dir: Option<String>,
-) -> Result<(), Error> {
-    if let Some(v) = env_no_cache {
-        if !v.is_empty() && v != "0" {
-            spec.no_cache = true;
+    /// Fills in the `JUMANJI_*` values `env` yields, leniently: an
+    /// empty or unparseable value leaves the field alone, and
+    /// `JUMANJI_NO_CACHE` counts unless it is empty or `0`. Factored
+    /// over a lookup function so tests need not mutate the process
+    /// environment.
+    fn with_env(mut self, env: impl Fn(&str) -> Option<String>) -> ExperimentSpec {
+        let var = |name: &str| env(name).filter(|v| !v.is_empty());
+        if let Some(v) = var("JUMANJI_MIXES").and_then(|v| v.parse().ok()) {
+            self.mixes = v;
+        }
+        if let Some(v) = var("JUMANJI_THREADS").and_then(|v| v.parse().ok()) {
+            self.threads = v;
+        }
+        if let Some(p) = var("JUMANJI_TRACE") {
+            self.trace = Some(PathBuf::from(p));
+        }
+        if var("JUMANJI_NO_CACHE").is_some_and(|v| v != "0") {
+            self.no_cache = true;
+        }
+        if let Some(dir) = var("JUMANJI_CACHE_DIR") {
+            self.cache_dir = Some(PathBuf::from(dir));
+        }
+        if let Some(cap) = var("JUMANJI_CACHE_CAP").and_then(|v| v.trim().parse().ok()) {
+            self.cache_cap_bytes = Some(cap);
+        }
+        self
+    }
+
+    /// One strict pass of the CLI flags over the current values.
+    fn with_args(mut self, args: &[String]) -> Result<ExperimentSpec, Error> {
+        if let Some(v) = parse_flag(args, "--mixes")? {
+            self.mixes = v;
+        }
+        if let Some(v) = parse_flag(args, "--threads")? {
+            self.threads = v;
+        }
+        if let Some(v) = parse_flag(args, "--seed")? {
+            self.seed = v;
+        }
+        if let Some(v) = parse_flag(args, "--accesses")? {
+            self.accesses = v;
+        }
+        if let Some(p) = flag_text(args, "--trace")? {
+            self.trace = Some(PathBuf::from(p));
+        }
+        if args.iter().any(|a| a == "--no-cache") {
+            self.no_cache = true;
+        }
+        if let Some(dir) = flag_text(args, "--cache-dir")? {
+            self.cache_dir = Some(PathBuf::from(dir));
+        }
+        if let Some(cap) = parse_flag(args, "--cache-cap-bytes")? {
+            self.cache_cap_bytes = Some(cap);
+        }
+        // Counts floor at 1, as the builder methods floor them.
+        self.mixes = self.mixes.max(1);
+        self.threads = self.threads.max(1);
+        self.accesses = self.accesses.max(1);
+        Ok(self)
+    }
+
+    /// Applies the spec's cache controls to the process-wide cell
+    /// cache: `no_cache` disables it; otherwise `cache_dir` attaches a
+    /// persistent store there (bounded by `cache_cap_bytes`) and
+    /// warm-starts the simulator's model memos from it. An unopenable
+    /// directory warns and leaves the cache memory-only.
+    pub fn apply_cache(&self) {
+        let cache = CellCache::global();
+        if self.no_cache {
+            cache.set_enabled(false);
+            return;
+        }
+        let Some(dir) = &self.cache_dir else {
+            return;
+        };
+        // Re-attaching the same root would reset its counters mid-run.
+        if cache.disk().is_some_and(|d| d.root() == dir.as_path()) {
+            return;
+        }
+        attach_global_disk(&dir.to_string_lossy());
+        if let (Some(cap), Some(disk)) = (self.cache_cap_bytes.filter(|&c| c > 0), cache.disk()) {
+            disk.set_cap_bytes(cap);
+            disk.enforce_cap();
         }
     }
-    if let Some(dir) = env_cache_dir {
-        if !dir.is_empty() {
-            spec.cache_dir = Some(PathBuf::from(dir));
-        }
-    }
-    if args.iter().any(|a| a == "--no-cache") {
-        spec.no_cache = true;
-    }
-    if let Some(dir) = flag_text(args, "--cache-dir")? {
-        spec.cache_dir = Some(PathBuf::from(dir));
-    }
-    Ok(())
 }
 
 /// The value of `flag`, as text, in either `--flag value` or
 /// `--flag=value` form (first occurrence wins). Present-with-no-value —
 /// a bare trailing flag, another `--flag` in value position, or an empty
-/// `--flag=` — is a usage error.
-fn flag_text(args: &[String], flag: &str) -> Result<Option<String>, Error> {
+/// `--flag=` — is a usage error. This is the one flag parser every
+/// binary uses, so a missing value is rejected before it can be taken
+/// for a path.
+///
+/// # Errors
+///
+/// Returns a usage [`Error::Flag`] naming `flag` when its value is
+/// missing.
+pub fn flag_text(args: &[String], flag: &str) -> Result<Option<String>, Error> {
     for (i, arg) in args.iter().enumerate() {
         if arg == flag {
             return match args.get(i + 1) {
@@ -454,11 +479,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
     }
 }
 
-/// A `VAR=n` environment count; unset or unparseable yields `None`.
-fn env_count(var: &str) -> Option<usize> {
-    std::env::var(var).ok()?.parse().ok()
-}
-
 /// Renders the spec's figure to stdout (locked for the duration).
 ///
 /// # Errors
@@ -470,31 +490,21 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<(), Error> {
     run_spec_to(spec, &mut out)
 }
 
-/// Renders the spec's figure to any writer, resolving the telemetry sink
-/// (explicit sink, then `trace` path as a [`JsonlSink`], then the no-op
-/// sink) and flushing both on the way out. The attached disk store is
-/// persisted whether or not the figure succeeds, so the next process
-/// finds this run's cells and model memos.
+/// Renders the spec's figure to any writer through the one execution
+/// path — [`run_suite`] on this single spec — resolving the telemetry
+/// sink (explicit sink, then `trace` path as a [`JsonlSink`], then the
+/// no-op sink) and applying the spec's cache controls first. The
+/// attached disk store is persisted whether or not the figure succeeds,
+/// so the next process finds this run's cells and model memos.
 ///
 /// # Errors
 ///
 /// Returns usage errors for bad spec inputs (unknown workload names),
 /// and runtime errors for I/O failures on `out` or the trace file.
 pub fn run_spec_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Error> {
-    let cache = crate::cell_cache::CellCache::global();
-    if spec.no_cache {
-        cache.set_enabled(false);
-    } else if let Some(dir) = &spec.cache_dir {
-        // The binaries attach the store in `apply_cache_flags` before
-        // the spec exists; re-attaching the same root would reset its
-        // counters mid-run, so only attach when the root differs.
-        let attached = cache.disk().is_some_and(|d| d.root() == dir.as_path());
-        if !attached {
-            crate::cell_cache::attach_global_disk(&dir.to_string_lossy());
-        }
-    }
+    spec.apply_cache();
     let result = emit_to(spec, out);
-    crate::cell_cache::persist_global_disk();
+    persist_global_disk();
     result
 }
 
@@ -509,18 +519,22 @@ fn emit_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Error> {
         }
         (None, None) => &NoopSink,
     };
-    figures::emit(spec, tel, out)?;
+    run_suite(
+        std::slice::from_ref(spec),
+        spec.threads,
+        false,
+        tel,
+        &mut |fig| Ok(out.write_all(&fig.bytes)?),
+    )?;
     out.flush()?;
     Ok(())
 }
 
-/// The whole `main` of a figure binary: parse argv/env (including the
-/// process-level `--no-cache` / `--cache-dir DIR` cache controls), run
-/// (which persists the disk store either way), and map errors to exit
-/// codes (usage → 2, runtime → 1).
+/// The whole `main` of a figure binary: parse argv/env strictly
+/// (including the `--no-cache` / `--cache-dir DIR` cache controls), run
+/// (which applies the cache controls and persists the disk store either
+/// way), and map errors to exit codes (usage → 2, runtime → 1).
 pub fn figure_main(kind: FigureKind) -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    crate::cell_cache::apply_cache_flags(&args);
     let spec = match ExperimentSpec::from_args_env(kind) {
         Ok(spec) => spec,
         Err(e) => {
@@ -629,57 +643,121 @@ mod tests {
         assert!(err.is_usage());
     }
 
+    /// An environment lookup over fixed `(var, value)` pairs.
+    fn env_of(pairs: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let pairs: Vec<(String, String)> = pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |var| pairs.iter().find(|(k, _)| k == var).map(|(_, v)| v.clone())
+    }
+
     #[test]
     fn cache_controls_resolve_cli_over_env_over_builder() {
         use std::path::Path;
+        let resolve = |spec: ExperimentSpec, env: &[(&str, &str)], args: &[&str]| {
+            spec.with_env(env_of(env)).with_args(&argv(args))
+        };
         // Builder value survives when neither CLI nor env speaks.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13).cache_dir("/from/builder");
-        resolve_cache_controls(&mut spec, &argv(&["fig13"]), None, None).expect("valid");
+        let builder = || ExperimentSpec::new(FigureKind::Fig13).cache_dir("/from/builder");
+        let spec = resolve(builder(), &[], &["fig13"]).expect("valid");
         assert_eq!(spec.cache_dir.as_deref(), Some(Path::new("/from/builder")));
         assert!(!spec.no_cache);
 
         // Environment beats the builder.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13).cache_dir("/from/builder");
-        resolve_cache_controls(
-            &mut spec,
-            &argv(&["fig13"]),
-            Some("1".into()),
-            Some("/from/env".into()),
-        )
-        .expect("valid");
+        let env = [
+            ("JUMANJI_NO_CACHE", "1"),
+            ("JUMANJI_CACHE_DIR", "/from/env"),
+            ("JUMANJI_CACHE_CAP", "4096"),
+        ];
+        let spec = resolve(builder(), &env, &["fig13"]).expect("valid");
         assert_eq!(spec.cache_dir.as_deref(), Some(Path::new("/from/env")));
         assert!(spec.no_cache);
+        assert_eq!(spec.cache_cap_bytes, Some(4096));
 
         // CLI beats the environment.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(
-            &mut spec,
-            &argv(&["fig13", "--cache-dir", "/from/cli"]),
-            None,
-            Some("/from/env".into()),
+        let new = || ExperimentSpec::new(FigureKind::Fig13);
+        let spec = resolve(
+            new(),
+            &env,
+            &["fig13", "--cache-dir", "/from/cli", "--cache-cap-bytes=8"],
         )
         .expect("valid");
         assert_eq!(spec.cache_dir.as_deref(), Some(Path::new("/from/cli")));
+        assert_eq!(spec.cache_cap_bytes, Some(8));
 
-        // Env no-cache is lenient: empty and `0` mean unset.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(&mut spec, &argv(&["fig13"]), Some("0".into()), None)
-            .expect("valid");
+        // The environment is lenient: empty and `0` mean unset, and an
+        // unparseable cap falls through.
+        let lenient = [("JUMANJI_NO_CACHE", "0"), ("JUMANJI_CACHE_CAP", "lots")];
+        let spec = resolve(new(), &lenient, &["fig13"]).expect("valid");
         assert!(!spec.no_cache);
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(&mut spec, &argv(&["fig13"]), Some(String::new()), None)
-            .expect("valid");
+        assert_eq!(spec.cache_cap_bytes, None);
+        let spec = resolve(new(), &[("JUMANJI_NO_CACHE", "")], &["fig13"]).expect("valid");
         assert!(!spec.no_cache);
 
-        // CLI --no-cache is a bare flag; --cache-dir stays strict.
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        resolve_cache_controls(&mut spec, &argv(&["fig13", "--no-cache"]), None, None)
-            .expect("valid");
+        // CLI --no-cache is a bare flag; --cache-dir and
+        // --cache-cap-bytes stay strict.
+        let spec = resolve(new(), &[], &["fig13", "--no-cache"]).expect("valid");
         assert!(spec.no_cache);
-        let mut spec = ExperimentSpec::new(FigureKind::Fig13);
-        let err = resolve_cache_controls(&mut spec, &argv(&["fig13", "--cache-dir"]), None, None)
-            .expect_err("missing value");
+        for args in [
+            &["fig13", "--cache-dir"][..],
+            &["fig13", "--cache-dir", "--mixes", "2"],
+            &["fig13", "--cache-cap-bytes", "lots"],
+        ] {
+            let err = resolve(new(), &[], args).expect_err("missing or bad value");
+            assert!(err.is_usage(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn env_fills_in_under_the_cli() {
+        let env = env_of(&[
+            ("JUMANJI_MIXES", "3"),
+            ("JUMANJI_THREADS", "x"),
+            ("JUMANJI_TRACE", "/from/env.jsonl"),
+        ]);
+        let spec = ExperimentSpec::new(FigureKind::Fig13)
+            .with_env(&env)
+            .with_args(&argv(&["fig13", "--trace", "/from/cli.jsonl"]))
+            .expect("valid");
+        // Env mixes apply, the unparseable thread count falls through to
+        // the default, and the CLI trace path wins.
+        assert_eq!(spec.mixes, 3);
+        assert_eq!(spec.threads, ExperimentSpec::new(FigureKind::Fig13).threads);
+        assert_eq!(
+            spec.trace.as_deref(),
+            Some(std::path::Path::new("/from/cli.jsonl"))
+        );
+        let spec = ExperimentSpec::new(FigureKind::Fig13)
+            .with_env(&env)
+            .with_args(&argv(&["fig13", "--mixes", "5"]))
+            .expect("valid");
+        assert_eq!(spec.mixes, 5);
+    }
+
+    #[test]
+    fn flag_text_accepts_equals_form() {
+        let args = argv(&["prog", "--mixes=7", "--threads=3"]);
+        assert_eq!(flag_text(&args, "--mixes").unwrap().as_deref(), Some("7"));
+        assert_eq!(flag_text(&args, "--threads").unwrap().as_deref(), Some("3"));
+        assert_eq!(flag_text(&args, "--other").unwrap(), None);
+        // An empty value is a usage error, not an absent flag.
+        let err = flag_text(&argv(&["prog", "--mixes="]), "--mixes").expect_err("empty value");
         assert!(err.is_usage());
+        // A longer flag sharing the prefix must not match.
+        let args = argv(&["prog", "--mixes-per-run=9"]);
+        assert_eq!(flag_text(&args, "--mixes").unwrap(), None);
+        // Values containing '=' survive intact.
+        let args = argv(&["prog", "--out=a=b"]);
+        assert_eq!(flag_text(&args, "--out").unwrap().as_deref(), Some("a=b"));
+    }
+
+    #[test]
+    fn flag_text_first_occurrence_wins_across_forms() {
+        let args = argv(&["prog", "--mixes=5", "--mixes", "9"]);
+        assert_eq!(flag_text(&args, "--mixes").unwrap().as_deref(), Some("5"));
+        let args = argv(&["prog", "--mixes", "9", "--mixes=5"]);
+        assert_eq!(flag_text(&args, "--mixes").unwrap().as_deref(), Some("9"));
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The cross-figure suite engine: plan → union → schedule → stream.
+//! The one path from plan to TSV: plan → union → schedule → gather →
+//! render.
 //!
-//! [`run_suite`] turns a list of figure specs into TSVs through four
-//! phases:
+//! [`run_suite`] turns a list of figure specs into TSVs, and every
+//! figure takes this path — the standalone figure binaries too, through
+//! [`run_spec_to`](crate::run_spec_to) on their one spec:
 //!
 //! 1. **Plan.** Each figure enumerates its experiment cells without
 //!    computing them ([`figures::plan`]).
@@ -14,24 +16,31 @@
 //!    validate mix-0 detailed cell is fig02's cell for that design.
 //! 3. **Schedule.** The graph executes on the work-stealing pool
 //!    ([`exec::sched`]), long poles first, writing every result through
-//!    the process-wide cache — exactly where the render pass (and the
-//!    standalone binaries) will look.
-//! 4. **Stream.** Figures render in requested order, each the moment its
-//!    last cell completes — a figure whose cells finished early emits
-//!    while the pool is still chewing on later figures' work. Renders
-//!    are pure cache hits, so output is byte-identical to the
-//!    sequential path at every thread count.
+//!    the process-wide cache.
+//! 4. **Gather.** The moment a figure's last node completes, its planned
+//!    cells are read back through the cache exactly once each, in plan
+//!    order, into [`CompletedCells`] — pure memory hits, read against a
+//!    no-op sink.
+//! 5. **Render.** [`figures::render`] turns the completed cells into the
+//!    figure's TSV, and the figure streams out in requested order while
+//!    the pool is still chewing on later figures' work.
 //!
-//! The plan is an *optimization contract*, not a correctness one: a cell
-//! the plan missed is computed by the render as before (slow but right),
-//! and `tests/plan_coverage.rs` keeps the plans exact. With tracing on,
-//! the scheduler emits each unique cell's event stream exactly once (the
-//! cache bypasses reads under tracing, so planned figures then render
-//! against a no-op sink to avoid recomputing); with the cache disabled
-//! (`--no-cache`) scheduling would be pure waste, so the suite falls
-//! back to the sequential per-figure path.
+//! `--sequential` and `--no-cache` skip steps 2–3: the gather step then
+//! computes every cell itself, serially, with the caller's sink.
+//! `--sequential` keeps the memo (a cell shared by two figures computes
+//! once); `--no-cache` disables it and the store, so every cell computes
+//! fresh — the reference run that catches key collisions. Both render
+//! from the same [`CompletedCells`], so output is byte-identical in every
+//! mode at every thread count.
+//!
+//! With tracing on, the scheduler emits each unique cell's event stream
+//! exactly once (the cache bypasses reads under tracing, so every run
+//! node recomputes and writes through), and the gather reads the
+//! results back silently.
 //!
 //! [`figures::plan`]: crate::figures::plan
+//! [`figures::render`]: crate::figures::render
+//! [`CompletedCells`]: crate::figures::CompletedCells
 //! [`CellCache`]: crate::cell_cache::CellCache
 //! [`exec::sched`]: crate::exec::sched
 
@@ -43,7 +52,7 @@
 use crate::cell_cache::{run_key, CellCache, ExperimentHandle, RunSource};
 use crate::disk_cache::MeasuredCosts;
 use crate::exec::sched::{self, Graph, GraphReport};
-use crate::figures::{self, plan};
+use crate::figures::{self, plan, CompletedCells};
 use crate::spec::{ExperimentSpec, FigureKind};
 use jumanji::prelude::*;
 use jumanji::telemetry::NoopSink;
@@ -51,7 +60,7 @@ use jumanji::types::hash::Mix64Build;
 use jumanji::types::Error;
 use jumanji::workloads::WorkloadMix;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -63,13 +72,13 @@ pub struct SuiteFigure {
     pub kind: FigureKind,
     /// The rendered TSV, byte-identical to the standalone binary.
     pub bytes: Vec<u8>,
-    /// Wall-clock of the render pass alone (under the scheduler this is
-    /// cache-hit time; sequentially it includes the compute).
+    /// Wall-clock of the gather and render steps (under the scheduler
+    /// this is cache-hit time; sequentially it includes the compute).
     pub seconds: f64,
-    /// Run cells this figure's render computed (cache misses during the
-    /// render — zero when the plan covered the figure).
+    /// Planned cells the gather step computed (always zero under the
+    /// scheduler, which computed them first).
     pub computed: u64,
-    /// Run cells served from cache during the render.
+    /// Planned cells the gather step read warm, from memory or disk.
     pub reused: u64,
 }
 
@@ -256,8 +265,7 @@ struct ProgressState {
     /// Unfinished nodes per figure.
     remaining: Vec<usize>,
     /// Set when the scheduler thread exits (normally or by panic), so
-    /// waiters never hang — any still-missing cells are computed by the
-    /// render itself.
+    /// waiters never hang.
     finished: bool,
 }
 
@@ -281,25 +289,70 @@ impl Drop for FinishGuard<'_> {
     }
 }
 
-/// Renders `spec` into a buffer with run-cell accounting, emitting
-/// through `tel`.
+/// Reads every planned cell of `plan` through `cache`, once each and in
+/// plan order. Also returns how many of those reads computed their cell
+/// and how many were served warm (from memory or disk).
+fn gather(
+    plan: plan::FigurePlan,
+    cache: &CellCache,
+    tel: &dyn Telemetry,
+) -> (CompletedCells, u64, u64) {
+    let (mut computed, mut reused) = (0u64, 0u64);
+    let mut count = |source: RunSource| match source {
+        RunSource::Computed => computed += 1,
+        RunSource::Memory | RunSource::Disk => reused += 1,
+    };
+    let runs = plan
+        .cells
+        .iter()
+        .map(|cell| {
+            let handle = cache.experiment(cell.mix.clone(), cell.load, cell.opts.clone());
+            cell.designs
+                .iter()
+                .map(|&design| {
+                    let (result, source) = cache.run_sourced(&handle, design, tel);
+                    count(source);
+                    result
+                })
+                .collect()
+        })
+        .collect();
+    let details = plan
+        .details
+        .iter()
+        .map(|d| {
+            let (report, source) =
+                cache.run_detail_sourced(&d.opts, &d.profiles, &d.cores, &d.vms, &d.alloc, tel);
+            count(source);
+            report
+        })
+        .collect();
+    let cells = CompletedCells {
+        plan,
+        runs,
+        details,
+    };
+    (cells, computed, reused)
+}
+
+/// Gathers `plan`'s cells with `tel` and renders `spec` from them into a
+/// buffer.
 fn render_figure(
     spec: &ExperimentSpec,
-    tel: &dyn Telemetry,
+    plan: plan::FigurePlan,
     cache: &CellCache,
+    tel: &dyn Telemetry,
 ) -> Result<SuiteFigure, Error> {
-    let before = cache.stats();
     let start = Instant::now();
+    let (cells, computed, reused) = gather(plan, cache, tel);
     let mut bytes = Vec::new();
-    figures::emit(spec, tel, &mut bytes)?;
-    let after = cache.stats();
+    figures::render(spec, &cells, &mut bytes)?;
     Ok(SuiteFigure {
         kind: spec.kind,
         bytes,
         seconds: start.elapsed().as_secs_f64(),
-        computed: (after.runs.misses - before.runs.misses)
-            + (after.details.misses - before.details.misses),
-        reused: (after.runs.hits - before.runs.hits) + (after.details.hits - before.details.hits),
+        computed,
+        reused,
     })
 }
 
@@ -308,14 +361,14 @@ fn render_figure(
 ///
 /// With `sequential` false and the cache enabled, the cross-figure work
 /// graph executes on `threads` workers and figures stream as their cells
-/// complete; otherwise figures render one at a time (today's behavior —
-/// also used as the A/B baseline by the `timings` binary). Telemetry
-/// goes to `tel` in both modes; the specs' own `trace`/`telemetry`
-/// fields are ignored.
+/// complete; otherwise the gather step computes each figure's cells
+/// serially, one figure at a time (the A/B baseline the `timings` binary
+/// measures against). Telemetry goes to `tel` in both modes; the specs'
+/// own `trace`/`telemetry`/`threads` fields are ignored.
 ///
 /// Output bytes are identical in both modes at every thread count: the
-/// renders read through the same [`CellCache`], which is value-
-/// transparent.
+/// renderers read the same completed cells, and the [`CellCache`] is
+/// value-transparent.
 ///
 /// # Errors
 ///
@@ -330,9 +383,10 @@ pub fn run_suite(
 ) -> Result<SuiteReport, Error> {
     let cache = CellCache::global();
     let start = Instant::now();
+    let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
     if sequential || !cache.enabled() {
-        for spec in specs {
-            emit(render_figure(spec, tel, cache)?)?;
+        for (spec, plan) in specs.iter().zip(plans) {
+            emit(render_figure(spec, plan, cache, tel)?)?;
         }
         return Ok(SuiteReport {
             total_seconds: start.elapsed().as_secs_f64(),
@@ -340,7 +394,6 @@ pub fn run_suite(
         });
     }
 
-    let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
     // Cost the graph with measured durations from the persistent store
     // when it has seen real runs; the static priors otherwise.
     let loaded_costs = cache.disk().map(|d| d.load_costs()).unwrap_or_default();
@@ -361,12 +414,6 @@ pub fn run_suite(
     // Experiment handles flow from Exp nodes to their Run dependents.
     let slots: Vec<OnceLock<ExperimentHandle>> =
         (0..union.nodes.len()).map(|_| OnceLock::new()).collect();
-    // Run-cell lookups the scheduler issued; the streaming renders
-    // subtract the overlap so their cache-delta accounting isn't
-    // polluted by later figures' cells computing concurrently.
-    // Incremented *before* the lookup so a straddling node can only
-    // under-count a render's misses, never invent one.
-    let sched_lookups = AtomicU64::new(0);
     // What each node actually did, written by the workers and read
     // after the pool drains: only COMPUTED nodes feed their measured
     // duration back into the persistent cost table (warm nodes finish
@@ -399,7 +446,6 @@ pub fn run_suite(
                 let handle = slots[*exp as usize]
                     .get()
                     .expect("dependency completed first");
-                sched_lookups.fetch_add(1, Ordering::SeqCst);
                 let (_, source) = cache.run_sourced(handle, *design, tel);
                 let state = match source {
                     RunSource::Computed => COMPUTED,
@@ -409,7 +455,6 @@ pub fn run_suite(
                 node_state[i].store(state, Ordering::Relaxed);
             }
             Node::Detail(d) => {
-                sched_lookups.fetch_add(1, Ordering::SeqCst);
                 let (_, source) =
                     cache.run_detail_sourced(&d.opts, &d.profiles, &d.cores, &d.vms, &d.alloc, tel);
                 let state = match source {
@@ -443,27 +488,11 @@ pub fn run_suite(
             let r = sched::run_graph(graph, threads, tel, run_node);
             *graph_report.lock().expect("report lock") = r;
         });
-        for (f, spec) in specs.iter().enumerate() {
+        for (f, (spec, plan)) in specs.iter().zip(plans).enumerate() {
             progress.wait_for(f);
-            // Planned figures re-read their cells from the cache; under
-            // tracing their event streams were already emitted (exactly
-            // once per unique cell) by the scheduler, so the render uses
-            // a no-op sink. Unplanned figures compute here and trace
-            // normally.
-            let render_tel: &dyn Telemetry = if tel.enabled() && !plans[f].is_empty() {
-                &NoopSink
-            } else {
-                tel
-            };
-            let overlap_before = sched_lookups.load(Ordering::SeqCst);
-            let result = render_figure(spec, render_tel, cache).map(|mut fig| {
-                // Later figures' cells may compute concurrently during
-                // this render; their lookups are not this figure's.
-                let overlap = sched_lookups.load(Ordering::SeqCst) - overlap_before;
-                fig.computed = fig.computed.saturating_sub(overlap);
-                fig
-            });
-            let result = result.and_then(&mut *emit);
+            // Every planned cell is resident now; the scheduler already
+            // emitted their event streams, so the gather reads silently.
+            let result = render_figure(spec, plan, cache, &NoopSink).and_then(&mut *emit);
             if let Err(e) = result {
                 emit_err = Some(e);
                 break;
@@ -617,6 +646,36 @@ mod tests {
                 assert!(u.run_keys[i].is_empty());
             }
         }
+    }
+
+    #[test]
+    fn traced_suite_emits_each_unique_cell_once() {
+        // fig13 and fig14 plan the same cells, so the figures make twice
+        // as many planned lookups as there are unique runs. Under
+        // tracing the scheduler computes each unique run once and emits
+        // its stream once; the gather steps read silently.
+        use jumanji::telemetry::{Event, RecordingSink};
+        let specs: Vec<ExperimentSpec> = [FigureKind::Fig13, FigureKind::Fig14]
+            .iter()
+            .map(|&k| {
+                ExperimentSpec::new(k)
+                    .mixes(1)
+                    .designs(&[DesignKind::Jumanji])
+                    .threads(2)
+            })
+            .collect();
+        let sink = RecordingSink::new();
+        let report = run_suite(&specs, 2, false, &sink, &mut |_| Ok(())).expect("suite runs");
+        let sched = report.sched.expect("scheduled path");
+        let summaries = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::RunSummary { .. }))
+            .count();
+        // 12 (group, load) cells × {Static, Jumanji}, once each.
+        assert_eq!(sched.computed_runs, 24);
+        assert_eq!(sched.planned_runs, 48);
+        assert_eq!(summaries as u64, sched.computed_runs);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Pins the plan/render identity contract: for every plannable figure,
-//! the plan pass enumerates *exactly* the cells the render consumes.
+//! Pins the plan/schedule identity contract: for every plannable
+//! figure, the work graph computes *exactly* the cells the figure's
+//! gather step reads.
 //!
-//! A plan that misses cells silently degrades the scheduler back to
-//! compute-in-render (correct but slow, and double work under tracing);
-//! a plan with spurious cells burns compute nobody reads. Both escape
-//! the byte-identity tests — so this test runs each figure through the
-//! scheduler against a cleared cache and asserts (a) the render
-//! computed nothing (every cell it wanted was already there) and
-//! (b) the scheduler computed exactly as many run cells as the
-//! sequential path does (no spurious work).
+//! Renderers read only the cells their plan names, so a plan can no
+//! longer miss a cell silently; but a union or scheduler that dropped a
+//! planned node would push the compute into the serial gather step, and
+//! a plan with duplicate-keyed spurious cells would burn compute nobody
+//! reads. Both escape the byte-identity tests — so this test runs each
+//! figure through the scheduler against a cleared cache and asserts
+//! (a) the gather step computed nothing (every cell it wanted was
+//! already there) and (b) the scheduler computed exactly as many run
+//! cells as the sequential path does (no spurious work).
 //!
 //! Runs in its own process (one integration-test binary, one `#[test]`)
 //! so clearing the global cache cannot perturb other tests. The cheap
@@ -68,12 +70,12 @@ fn plans_cover_their_renders_exactly() {
         assert_eq!(
             computed,
             0,
-            "{}: the render computed {computed} cells the plan missed",
+            "{}: the gather step computed {computed} cells the scheduler missed",
             kind.name()
         );
         assert!(
             reused > 0,
-            "{}: the render read no cells at all",
+            "{}: the gather step read no cells at all",
             kind.name()
         );
 

@@ -2,15 +2,20 @@
 //!
 //! For random subsets of the plannable figures and random thread counts,
 //! rendering through the scheduled path must produce byte-identical
-//! TSVs to the sequential per-figure path. The scheduled run goes
-//! first with a fresh spec seed, so the scheduler (not a warm cache)
-//! computes the cells; the sequential run then renders through the same
-//! value-transparent [`CellCache`], whose own golden tests pin that
-//! cached and cold renders agree.
+//! TSVs to an independent reference: the same figures rendered with the
+//! process-wide [`CellCache`] disabled, so every planned cell is computed
+//! fresh and serially by the gather step instead of read back from the
+//! cells the scheduler just cached. The scheduled run goes first with a
+//! fresh spec seed, so the scheduler (not a warm cache) computes its
+//! cells.
+//!
+//! This binary holds this one test, so disabling the global cache for
+//! the reference run cannot perturb any other test.
 //!
 //! [`CellCache`]: jumanji_bench::cell_cache::CellCache
 
 use jumanji::telemetry::NoopSink;
+use jumanji_bench::cell_cache::CellCache;
 use jumanji_bench::suite::run_suite;
 use jumanji_bench::{ExperimentSpec, FigureKind};
 use proptest::prelude::*;
@@ -38,14 +43,31 @@ const PLANNABLE: [FigureKind; 13] = [
 /// process-wide cache.
 static CASE_SEED: AtomicU64 = AtomicU64::new(40_000);
 
-fn render_all(specs: &[ExperimentSpec], threads: usize, sequential: bool) -> Vec<Vec<u8>> {
+fn render_all(specs: &[ExperimentSpec], threads: usize) -> Vec<Vec<u8>> {
     let mut outputs = Vec::new();
-    run_suite(specs, threads, sequential, &NoopSink, &mut |fig| {
+    run_suite(specs, threads, false, &NoopSink, &mut |fig| {
         outputs.push(fig.bytes);
         Ok(())
     })
     .expect("suite runs");
     outputs
+}
+
+/// Disables the global cache until dropped, re-enabling it even when
+/// the reference run panics.
+struct CacheOff;
+
+impl CacheOff {
+    fn new() -> CacheOff {
+        CellCache::global().set_enabled(false);
+        CacheOff
+    }
+}
+
+impl Drop for CacheOff {
+    fn drop(&mut self) {
+        CellCache::global().set_enabled(true);
+    }
 }
 
 proptest! {
@@ -80,13 +102,16 @@ proptest! {
             .collect();
         // Scheduler first: its cells are cold, so the work graph (not
         // the warm cache) produces them.
-        let scheduled = render_all(&specs, threads, false);
-        let sequential = render_all(&specs, threads, true);
-        prop_assert_eq!(scheduled.len(), sequential.len());
-        for (i, (s, q)) in scheduled.iter().zip(&sequential).enumerate() {
+        let scheduled = render_all(&specs, threads);
+        let reference = {
+            let _off = CacheOff::new();
+            render_all(&specs, threads)
+        };
+        prop_assert_eq!(scheduled.len(), reference.len());
+        for (i, (s, q)) in scheduled.iter().zip(&reference).enumerate() {
             prop_assert!(
                 s == q,
-                "figure {} differs between scheduled and sequential at {} threads",
+                "figure {} differs between scheduled and uncached at {} threads",
                 kinds[i].name(),
                 threads
             );

@@ -40,16 +40,29 @@ impl Drop for TempDir {
     }
 }
 
-/// Runs a binary with a scrubbed environment: no `JUMANJI_*` knobs leak
-/// in from the outside, so the test is deterministic wherever it runs.
+/// A command for `bin` with a scrubbed environment: no `JUMANJI_*` knobs
+/// leak in from the outside, so the test is deterministic wherever it
+/// runs.
+fn clean_command(bin: &str, args: &[&str]) -> Command {
+    let mut cmd = Command::new(bin);
+    cmd.args(args);
+    for var in [
+        "JUMANJI_TRACE",
+        "JUMANJI_MIXES",
+        "JUMANJI_THREADS",
+        "JUMANJI_ACCESSES",
+        "JUMANJI_NO_CACHE",
+        "JUMANJI_CACHE_DIR",
+        "JUMANJI_CACHE_CAP",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd
+}
+
+/// Runs a binary with a scrubbed environment and asserts it succeeded.
 fn run_clean(bin: &str, args: &[&str]) -> Output {
-    let out = Command::new(bin)
-        .args(args)
-        .env_remove("JUMANJI_TRACE")
-        .env_remove("JUMANJI_MIXES")
-        .env_remove("JUMANJI_THREADS")
-        .env_remove("JUMANJI_ACCESSES")
-        .env_remove("JUMANJI_NO_CACHE")
+    let out = clean_command(bin, args)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
@@ -138,6 +151,45 @@ fn unknown_figure_is_a_usage_error() {
         String::from_utf8_lossy(&out.stderr).contains("fig99"),
         "error should name the unknown figure"
     );
+}
+
+/// A flag whose value is missing is a usage error (exit 2) raised before
+/// any file, directory or store is opened: the flag that follows must
+/// never be taken for a trace file, store, or output directory.
+#[test]
+fn flags_missing_values_exit_2_and_touch_nothing() {
+    let suite = env!("CARGO_BIN_EXE_suite");
+    let fig05 = env!("CARGO_BIN_EXE_fig05");
+    let cases: [(&str, &[&str]); 4] = [
+        (suite, &["--figures", "table2", "--trace", "--mixes", "2"]),
+        (
+            suite,
+            &["--figures", "table2", "--cache-dir", "--mixes", "2"],
+        ),
+        (fig05, &["--cache-dir", "--mixes", "1"]),
+        (
+            suite,
+            &["--figures", "table2", "--out", "--stats", "s.json"],
+        ),
+    ];
+    for (i, (bin, args)) in cases.into_iter().enumerate() {
+        let tmp = TempDir::new(&format!("flags{i}"));
+        let out = clean_command(bin, args)
+            .current_dir(tmp.path())
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let left: Vec<_> = std::fs::read_dir(tmp.path())
+            .expect("read temp dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert!(left.is_empty(), "{bin} {args:?} left {left:?} behind");
+    }
 }
 
 /// The full gated matrix: fig13 + fig14 through the suite at 1 and 4

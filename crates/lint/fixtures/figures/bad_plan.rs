@@ -1,12 +1,12 @@
-// Fixture: plan-bypass — a renderer that builds its own cell key (not compiled).
-pub fn fig_bad(cache: &CellCache) {
-    let mix = WorkloadMix::lc_only(7);
-    let cell = cache.run(&mix, &opts());
-    draw(cell);
+// Fixture: plan-bypass — a renderer that looks its own cell up (not compiled).
+pub fn fig_bad(spec: &ExperimentSpec, out: &mut dyn Write) {
+    let exp = experiment_of(spec);
+    let cell = CellCache::global().run(&exp, DesignKind::Jumanji, &NoopSink);
+    draw(out, &cell);
 }
 
-pub fn fig_good(cache: &CellCache) {
-    let (mix, opts) = mix_cell_inputs(7);
-    let cell = cache.run_detail(&mix, &opts);
-    draw(cell);
+// The clean renderer reads the cell its plan named.
+pub fn fig_good(spec: &ExperimentSpec, cells: &CompletedCells, out: &mut dyn Write) {
+    let cell = cells.run(0, DesignKind::Jumanji);
+    draw(out, cell);
 }

@@ -77,11 +77,11 @@ pub enum Event {
         /// Intervals that re-ran allocate → evaluate.
         memo_misses: u64,
     },
-    /// One job's timing span on the experiment engine's worker pool.
+    /// One work-graph node's timing span on the scheduler's worker pool.
     WorkerSpan {
         /// Worker index within the pool.
         worker: usize,
-        /// Job index (the `parallel_map` element).
+        /// Node index within the work graph.
         job: usize,
         /// Job start, µs since the fan-out began.
         start_us: u64,

@@ -168,4 +168,12 @@ echo "== --trace emits controller events as JSONL"
 grep -q '"event":"controller"' "$tmp/trace.jsonl"
 grep -q '"event":"run_summary"' "$tmp/trace.jsonl"
 
+echo "== a traced suite emits each unique cell's event stream exactly once"
+./target/release/suite --figures fig13,fig14 --mixes 1 --threads 2 \
+    --trace "$tmp/suite_trace.jsonl" --stats "$tmp/suite_trace.json" \
+    >/dev/null 2>&1
+summaries="$(grep -c '"event":"run_summary"' "$tmp/suite_trace.jsonl")"
+computed="$(sed -n 's/.*"computed_runs": *\([0-9][0-9]*\).*/\1/p' "$tmp/suite_trace.json")"
+[ "$summaries" -eq "$computed" ]
+
 echo "verify: OK"
