@@ -16,7 +16,7 @@
 //! suite [--figures all|fig13,fig14,…] [--out DIR] [--stats PATH]
 //!       [--mixes N] [--threads N] [--seed N] [--accesses N]
 //!       [--trace PATH] [--no-cache] [--cache-dir DIR]
-//!       [--cache-cap-bytes N] [--sequential]
+//!       [--cache-cap-bytes N]
 //! ```
 //!
 //! - `--figures` — comma-separated [`FigureKind`] names, or `all` for
@@ -32,10 +32,10 @@
 //! - `--trace PATH` — one shared JSONL sink for the whole suite (also
 //!   honours `JUMANJI_TRACE`); the scheduler emits each unique cell's
 //!   event stream exactly once.
-//! - `--no-cache` — disable the shared cache and any store: the work
-//!   graph is skipped and every planned cell computes fresh, serially,
-//!   in the gather step (the reference run that exposes key
-//!   collisions).
+//! - `--no-cache` — disable the shared cache and any store (also
+//!   honours `JUMANJI_NO_CACHE`): the work graph is skipped and every
+//!   planned lookup computes fresh, serially, in the gather step (the
+//!   reference run that exposes key collisions).
 //! - `--cache-dir DIR` — back the cache with a persistent store (also
 //!   honours `JUMANJI_CACHE_DIR`): completed cells — analytic runs *and*
 //!   detailed-simulator reports — are read from and written to `DIR`, so
@@ -44,9 +44,6 @@
 //! - `--cache-cap-bytes N` — bound the persistent store (also honours
 //!   `JUMANJI_CACHE_CAP`): oldest cells are evicted first once the
 //!   store exceeds `N` bytes (0 = unbounded, the default).
-//! - `--sequential` — skip the work graph: the gather step computes
-//!   each figure's cells serially, one figure at a time, through the
-//!   shared cache (the A/B baseline `timings` measures against).
 //!
 //! Every flag is parsed strictly before any file, directory or store is
 //! opened: a flag missing its value exits 2 and touches nothing.
@@ -219,7 +216,6 @@ fn run(args: &[String]) -> Result<(), Error> {
     let figures = parse_figures(args)?;
     let out_dir = flag_text(args, "--out")?.map(PathBuf::from);
     let stats_path = flag_text(args, "--stats")?.map(PathBuf::from);
-    let sequential = args.iter().any(|a| a == "--sequential");
     let mut specs = figures
         .iter()
         .map(|&kind| ExperimentSpec::from_args_env(kind))
@@ -271,7 +267,7 @@ fn run(args: &[String]) -> Result<(), Error> {
         reports.push(report);
         Ok(())
     };
-    let summary = run_suite(&specs, threads, sequential, tel, &mut emit)?;
+    let summary = run_suite(&specs, threads, tel, &mut emit)?;
     let total_seconds = summary.total_seconds;
 
     let stats = cache.stats();

@@ -51,10 +51,11 @@
 //! result indistinguishable from an untraced computation.
 //!
 //! The escape hatch: `--no-cache` on any figure binary (or
-//! `JUMANJI_NO_CACHE=1`) disables the global cache, making every lookup
-//! compute fresh (and ignoring any attached disk store). The suite then
-//! skips its scheduler and the gather step computes every planned cell
-//! itself — the reference run that would expose a key collision.
+//! `JUMANJI_NO_CACHE=1`, both parsed in [`crate::spec`]) disables the
+//! global cache, making every lookup compute fresh (and ignoring any
+//! attached disk store). The suite then skips its scheduler and the
+//! gather step computes every planned lookup itself — the reference run
+//! that would expose a key collision.
 
 use crate::disk_cache::{DiskCache, DiskCacheStats};
 use jumanji::core::{Allocation, DesignKind, PlacementInput};
@@ -213,21 +214,13 @@ impl CellCache {
     }
 
     /// The process-wide cache every figure and the `suite` binary share.
+    /// It starts enabled; [`ExperimentSpec::apply_cache`] disables it for
+    /// `--no-cache` / `JUMANJI_NO_CACHE`.
     ///
-    /// Honours `JUMANJI_NO_CACHE` at first use: any value other than empty
-    /// or `0` starts the cache disabled.
-    #[allow(clippy::disallowed_methods)] // env read carries a lint.toml [[allow]]
+    /// [`ExperimentSpec::apply_cache`]: crate::spec::ExperimentSpec::apply_cache
     pub fn global() -> &'static CellCache {
         static GLOBAL: OnceLock<CellCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = CellCache::new();
-            if let Ok(v) = std::env::var("JUMANJI_NO_CACHE") {
-                if !v.is_empty() && v != "0" {
-                    cache.set_enabled(false);
-                }
-            }
-            cache
-        })
+        GLOBAL.get_or_init(CellCache::new)
     }
 
     /// Whether lookups may reuse memoized results.

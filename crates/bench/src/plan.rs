@@ -30,12 +30,14 @@
 //!
 //! Cost priors ([`experiment_cost`], [`run_cost`], [`detail_cost`]) feed
 //! the scheduler's long-pole-first ordering. They are *relative* weights
-//! calibrated from the `timings` probes (an analytic run costs about one
+//! calibrated once from measured run times (an analytic run costs about one
 //! interval-unit per reconfiguration interval; placement-solving designs
 //! cost more per interval; experiment construction about half a Static
 //! run; a detailed cell about two interval-units per
 //! [`DETAIL_UNIT_ACCESSES`] simulated accesses), not wall-clock
-//! predictions — only their ordering matters.
+//! predictions — only their ordering matters. The suite's cost-drift
+//! report (`[suite] cost drift`, `sched.cost_drift` in `--stats`)
+//! compares them with the durations a persistent store has measured.
 
 use crate::cell_cache::CellCache;
 use crate::disk_cache::MeasuredCosts;
@@ -136,7 +138,7 @@ impl FigurePlan {
 
 /// Relative cost prior of constructing an experiment (profile hulls,
 /// deadline isolation runs, stream generators): about half a Static run
-/// of the same horizon in the `timings` probes.
+/// of the same horizon, as measured when the prior was calibrated.
 pub fn experiment_cost(opts: &SimOptions) -> f64 {
     0.5 * run_cost(opts, DesignKind::Static)
 }
@@ -148,7 +150,7 @@ pub fn intervals_of(opts: &SimOptions) -> f64 {
 }
 
 /// The static prior for a design's per-interval cost relative to a
-/// Static run, calibrated once from the `timings` probes. Used whenever
+/// Static run, calibrated once from measured run times. Used whenever
 /// no measured data exists for the design.
 fn static_factor(design: DesignKind) -> f64 {
     match design {
@@ -179,8 +181,8 @@ pub fn detail_units(opts: &DetailOptions, napps: usize) -> f64 {
 }
 
 /// The static prior for a detailed cell's per-work-unit cost relative
-/// to a Static analytic interval, calibrated once from the `timings`
-/// probes (execution-driven simulation of one unit of accesses costs
+/// to a Static analytic interval, calibrated once from measured run
+/// times (execution-driven simulation of one unit of accesses costs
 /// about two analytic intervals).
 const DETAIL_STATIC_FACTOR: f64 = 2.0;
 

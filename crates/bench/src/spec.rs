@@ -254,7 +254,7 @@ impl ExperimentSpec {
         ExperimentSpec {
             kind,
             mixes: kind.default_mixes(),
-            threads: crate::exec::available_threads(),
+            threads: available_threads(),
             seed: 1,
             accesses: kind.default_accesses(),
             designs: kind.default_designs(),
@@ -468,6 +468,14 @@ pub fn flag_text(args: &[String], flag: &str) -> Result<Option<String>, Error> {
     Ok(None)
 }
 
+/// The machine's available parallelism, at least 1: the worker count
+/// when neither `--threads` nor `JUMANJI_THREADS` sets one.
+fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// The value after `flag`, parsed. Unparseable is a usage error.
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Error> {
     match flag_text(args, flag)? {
@@ -519,13 +527,9 @@ fn emit_to(spec: &ExperimentSpec, out: &mut dyn Write) -> Result<(), Error> {
         }
         (None, None) => &NoopSink,
     };
-    run_suite(
-        std::slice::from_ref(spec),
-        spec.threads,
-        false,
-        tel,
-        &mut |fig| Ok(out.write_all(&fig.bytes)?),
-    )?;
+    run_suite(std::slice::from_ref(spec), spec.threads, tel, &mut |fig| {
+        Ok(out.write_all(&fig.bytes)?)
+    })?;
     out.flush()?;
     Ok(())
 }

@@ -25,13 +25,12 @@
 //!    figure's TSV, and the figure streams out in requested order while
 //!    the pool is still chewing on later figures' work.
 //!
-//! `--sequential` and `--no-cache` skip steps 2–3: the gather step then
-//! computes every cell itself, serially, with the caller's sink.
-//! `--sequential` keeps the memo (a cell shared by two figures computes
-//! once); `--no-cache` disables it and the store, so every cell computes
-//! fresh — the reference run that catches key collisions. Both render
-//! from the same [`CompletedCells`], so output is byte-identical in every
-//! mode at every thread count.
+//! With the cache disabled (`--no-cache`), steps 2–3 are skipped: the
+//! gather step computes every planned lookup itself, serially, with the
+//! caller's sink and no memo or store, so a cell two lookups share
+//! computes twice — the reference run that catches key collisions. Both
+//! modes render from the same [`CompletedCells`], so output is
+//! byte-identical in either mode at every thread count.
 //!
 //! With tracing on, the scheduler emits each unique cell's event stream
 //! exactly once (the cache bypasses reads under tracing, so every run
@@ -73,7 +72,8 @@ pub struct SuiteFigure {
     /// The rendered TSV, byte-identical to the standalone binary.
     pub bytes: Vec<u8>,
     /// Wall-clock of the gather and render steps (under the scheduler
-    /// this is cache-hit time; sequentially it includes the compute).
+    /// this is cache-hit time; with the cache disabled it includes the
+    /// compute).
     pub seconds: f64,
     /// Planned cells the gather step computed (always zero under the
     /// scheduler, which computed them first).
@@ -117,7 +117,7 @@ pub struct SchedReport {
 pub struct SuiteReport {
     /// Wall-clock of the whole call: plan + schedule + render + emit.
     pub total_seconds: f64,
-    /// Scheduler measurements; `None` on the sequential path.
+    /// Scheduler measurements; `None` when the cache is disabled.
     pub sched: Option<SchedReport>,
 }
 
@@ -359,12 +359,12 @@ fn render_figure(
 /// Runs the suite over `specs`, calling `emit` once per figure in
 /// `specs` order, each as soon as it is ready.
 ///
-/// With `sequential` false and the cache enabled, the cross-figure work
-/// graph executes on `threads` workers and figures stream as their cells
-/// complete; otherwise the gather step computes each figure's cells
-/// serially, one figure at a time (the A/B baseline the `timings` binary
-/// measures against). Telemetry goes to `tel` in both modes; the specs'
-/// own `trace`/`telemetry`/`threads` fields are ignored.
+/// With the cache enabled, the cross-figure work graph executes on
+/// `threads` workers and figures stream as their cells complete. With it
+/// disabled, the gather step computes every planned lookup fresh,
+/// serially, one figure at a time — the uncached reference. Telemetry
+/// goes to `tel` in both modes; the specs' own `trace`/`telemetry`/
+/// `threads` fields are ignored.
 ///
 /// Output bytes are identical in both modes at every thread count: the
 /// renderers read the same completed cells, and the [`CellCache`] is
@@ -377,14 +377,13 @@ fn render_figure(
 pub fn run_suite(
     specs: &[ExperimentSpec],
     threads: usize,
-    sequential: bool,
     tel: &dyn Telemetry,
     emit: &mut dyn FnMut(SuiteFigure) -> Result<(), Error>,
 ) -> Result<SuiteReport, Error> {
     let cache = CellCache::global();
     let start = Instant::now();
     let plans: Vec<plan::FigurePlan> = specs.iter().map(plan::of).collect::<Result<_, _>>()?;
-    if sequential || !cache.enabled() {
+    if !cache.enabled() {
         for (spec, plan) in specs.iter().zip(plans) {
             emit(render_figure(spec, plan, cache, tel)?)?;
         }
@@ -665,7 +664,7 @@ mod tests {
             })
             .collect();
         let sink = RecordingSink::new();
-        let report = run_suite(&specs, 2, false, &sink, &mut |_| Ok(())).expect("suite runs");
+        let report = run_suite(&specs, 2, &sink, &mut |_| Ok(())).expect("suite runs");
         let sched = report.sched.expect("scheduled path");
         let summaries = sink
             .events()

@@ -45,7 +45,7 @@ static CASE_SEED: AtomicU64 = AtomicU64::new(40_000);
 
 fn render_all(specs: &[ExperimentSpec], threads: usize) -> Vec<Vec<u8>> {
     let mut outputs = Vec::new();
-    run_suite(specs, threads, false, &NoopSink, &mut |fig| {
+    run_suite(specs, threads, &NoopSink, &mut |fig| {
         outputs.push(fig.bytes);
         Ok(())
     })

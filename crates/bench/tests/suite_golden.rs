@@ -139,6 +139,36 @@ fn no_cache_output_is_byte_identical() {
     );
 }
 
+/// `JUMANJI_NO_CACHE=1` is the environment spelling of `--no-cache`: the
+/// same bytes as the cached run, through the uncached reference path,
+/// which runs no scheduler and so prints no `[suite] sched:` line.
+#[test]
+fn no_cache_env_output_is_byte_identical_and_unscheduled() {
+    let args = ["--figures", "fig05", "--mixes", "1"];
+    let cached = run_clean(env!("CARGO_BIN_EXE_suite"), &args);
+    let fresh = clean_command(env!("CARGO_BIN_EXE_suite"), &args)
+        .env("JUMANJI_NO_CACHE", "1")
+        .output()
+        .expect("spawn suite");
+    assert!(
+        fresh.status.success(),
+        "JUMANJI_NO_CACHE=1 suite failed: {}",
+        String::from_utf8_lossy(&fresh.stderr)
+    );
+    assert_eq!(
+        cached.stdout, fresh.stdout,
+        "JUMANJI_NO_CACHE=1 changed the rendered TSV"
+    );
+    assert!(
+        String::from_utf8_lossy(&cached.stderr).contains("[suite] sched:"),
+        "the cached run should report its scheduler"
+    );
+    assert!(
+        !String::from_utf8_lossy(&fresh.stderr).contains("[suite] sched:"),
+        "JUMANJI_NO_CACHE=1 still ran the scheduler"
+    );
+}
+
 /// An unknown figure name is a usage error (exit 2), not a crash.
 #[test]
 fn unknown_figure_is_a_usage_error() {
@@ -236,8 +266,8 @@ fn gated_fig13_fig14_match_standalone_at_all_thread_counts() {
     }
 }
 
-/// Pulls one numeric field out of the suite's stats report (same
-/// minimal scan the `timings` binary uses — the schema is our own).
+/// Pulls one numeric field out of the suite's stats report (a minimal
+/// scan; the schema is our own).
 fn read_number(text: &str, key: &str) -> Option<f64> {
     let at = text.find(key)? + key.len();
     let rest = &text[at..];

@@ -44,11 +44,8 @@ JUMANJI_SUITE_GOLDEN=1 cargo test --offline --release -p jumanji-bench --test pl
 echo "== cargo bench smoke (one iteration per benchmark, no statistics)"
 JUMANJI_BENCH_SMOKE=1 cargo bench --offline
 
-echo "== quick suite: timings (runs every heavy binary at --mixes 4)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-./target/release/timings --out "$tmp"
-cat "$tmp/BENCH_suite.json"
 
 echo "== parallel output is byte-identical to serial"
 ./target/release/fig13 --mixes 2 --threads 1 >"$tmp/t1.tsv"
@@ -76,17 +73,17 @@ cmp "$tmp/suite_t4/fig14.tsv" "$tmp/s14.tsv"
 echo "== suite dedups cells across figures (fig14 reuses fig13's runs)"
 grep -Eq 'cells: [0-9]+ computed, [1-9][0-9]* reused' "$tmp/suite_t1.log"
 
-echo "== scheduled suite is thread-count- and mode-invariant"
-sched_figs=fig05,fig13,fig15,fig17,ablation
+echo "== scheduled suite is thread-count-invariant and matches the uncached reference"
+sched_figs=fig05,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 1 \
     --out "$tmp/sched_t1" 2>/dev/null
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 4 \
     --out "$tmp/sched_t4" 2>"$tmp/sched_t4.log"
 ./target/release/suite --figures "$sched_figs" --mixes 2 --threads 4 \
-    --sequential --out "$tmp/sched_seq" 2>/dev/null
-for f in fig05 fig13 fig15 fig17 ablation; do
+    --no-cache --out "$tmp/sched_nc" 2>/dev/null
+for f in fig05 fig13 fig14 fig15 fig16 fig17 sensitivity ablation; do
     cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_t4/$f.tsv"
-    cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_seq/$f.tsv"
+    cmp "$tmp/sched_t1/$f.tsv" "$tmp/sched_nc/$f.tsv"
 done
 grep -q '\[suite\] sched:' "$tmp/sched_t4.log"
 
@@ -96,8 +93,8 @@ echo "== --no-cache output is byte-identical to the cached suite"
 cmp "$tmp/suite_nc/fig13.tsv" "$tmp/s13.tsv"
 cmp "$tmp/suite_nc/fig14.tsv" "$tmp/s14.tsv"
 
-echo "== warm disk cache is byte-identical to cold (five figures)"
-disk_figs=fig05,fig09,fig13,fig14,fig16
+echo "== warm disk cache is byte-identical to cold (nine analytic figures)"
+disk_figs=fig05,fig09,fig13,fig14,fig15,fig16,fig17,sensitivity,ablation
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --cache-dir "$tmp/store" --out "$tmp/disk_cold" 2>"$tmp/disk_cold.log"
 # Segments, not one file per cell: the cold store holds at most 8
@@ -108,7 +105,7 @@ disk_figs=fig05,fig09,fig13,fig14,fig16
     --cache-dir "$tmp/store" --out "$tmp/disk_warm" 2>"$tmp/disk_warm.log"
 ./target/release/suite --figures "$disk_figs" --mixes 2 --threads 4 \
     --no-cache --out "$tmp/disk_nc" 2>/dev/null
-for f in fig05 fig09 fig13 fig14 fig16; do
+for f in fig05 fig09 fig13 fig14 fig15 fig16 fig17 sensitivity ablation; do
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_warm/$f.tsv"
     cmp "$tmp/disk_cold/$f.tsv" "$tmp/disk_nc/$f.tsv"
 done
